@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run the three-phase forgetting/recovery experiment for one algorithm.
+"""Run the three-phase forgetting/recovery experiment for one algorithm
+under the bundled preset, scripts/configs/hop_desk.json.
 
 Examples:
     python3 scripts/run_experiment.py --algorithm hop --seed 1 --out runs/hop-1
@@ -10,10 +11,12 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
 
-from orchestra.harness import (RunConfig, run_three_phase, summarize)
-from orchestra.hop import HopConfig
+from orchestra.harness import config_from_flat_dict, run_three_phase, summarize
+
+PRESET = HERE / "configs" / "hop_desk.json"
 
 
 def main():
@@ -29,16 +32,15 @@ def main():
                          "(off by default for this preset; see README)")
     args = ap.parse_args()
 
-    families = tuple(args.experiment.split("-"))
+    preset = json.loads(PRESET.read_text())
     for seed in args.seeds:
-        cfg = RunConfig(
-            algorithm=args.algorithm,
-            families=families,
-            seed=seed,
-            hop=HopConfig(checkpoint_interval=98_304,
-                          eval_episodes=30,
-                          checkpoint_gradients=args.checkpoint_gradients),
-        )
+        cfg = config_from_flat_dict({
+            **preset,
+            "algorithm": args.algorithm,
+            "experiment": args.experiment,
+            "seed": seed,
+            "checkpoint_gradients": args.checkpoint_gradients,
+        })
         out_dir = Path(args.out) / f"{args.algorithm}-{seed}"
         report = run_three_phase(cfg, out_dir)
         print(json.dumps(summarize(report), indent=1))

@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
 Covers exactly what small MLP policy/value networks and a clipped-surrogate
-loss need: matmul, broadcasting add/sub/mul, tanh/relu, exp/log, square,
+loss need: matmul, broadcasting add/sub/mul, tanh, exp/log, square,
 reductions, elementwise min/max, clipping, row gather and row scatter-add.
 Graphs are built eagerly per forward pass and discarded after backward().
 """
@@ -90,9 +90,6 @@ class Tensor:
 
     def tanh(self):
         return tanh(self)
-
-    def relu(self):
-        return relu(self)
 
     def square(self):
         return square(self)
@@ -184,16 +181,6 @@ def tanh(a: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a._accumulate(g * (1.0 - data * data))
-
-    return _node(data, (a,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0.0))
 
     return _node(data, (a,), backward)
 

@@ -3,13 +3,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
-import sys
 from pathlib import Path
 
-from .harness import (MetricsReport, Trainer, aggregate, config_from_flat_dict,
-                      export_metrics, read_metrics_csv, resume, run_three_phase,
-                      summarize)
+from .harness import (aggregate, config_from_flat_dict, export_metrics,
+                      load_trainer, resume, run_three_phase, summarize)
 
 
 def _cmd_train(args):
@@ -35,13 +32,9 @@ def _cmd_aggregate(args):
 
 
 def _cmd_export(args):
-    out = Path(args.out)
-    config = config_from_flat_dict(json.loads((out / "config.json").read_text()))
-    trainer = Trainer(config, None)
-    with open(out / "state.pkl", "rb") as f:
-        trainer.restore(pickle.load(f))
+    trainer = load_trainer(args.out)
     formats = ("csv", "json") if args.format == "both" else (args.format,)
-    for path in export_metrics(trainer.report(), out, formats):
+    for path in export_metrics(trainer.report(), trainer.out_dir, formats):
         print(path)
 
 

@@ -369,10 +369,6 @@ class EnvInstance:
         return "\n".join(rows)
 
 
-def make_env(spec: LevelSpec, max_ep_length: int = 200) -> EnvInstance:
-    return EnvInstance(spec, max_ep_length)
-
-
 class VecEnv:
     """N env slots, each cycling through a shared level rotation.
 

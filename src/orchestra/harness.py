@@ -255,12 +255,12 @@ class Trainer:
             if phase.task_id() not in self.stack.task_index:
                 self.stack.add_column(phase.task_id())
 
-    def _source(self):
-        phase = self.plan.phases[self.current_phase]
+    def _source(self, phase_idx: int):
+        """The action source that acts on phase ``phase_idx``'s levels."""
         if self.config.algorithm == "hop":
             return JoinedSource(self.actor, self.orchestra, self.config.hop)
         if self.config.algorithm == "pnn":
-            return ColumnSource(self.stack, phase.task_id())
+            return ColumnSource(self.stack, self.plan.phases[phase_idx].task_id())
         return LearnerSource(self.actor)
 
     # --- main loop ------------------------------------------------------
@@ -279,7 +279,7 @@ class Trainer:
             phase_idx = self._phase_of(self.global_step)
             if phase_idx != self.current_phase:
                 self._enter_phase(phase_idx)
-            source = self._source()
+            source = self._source(self.current_phase)
             buffer = collect_rollout(source, self.vecenv, self._critic_for_rollout(),
                                      cfg.ppo, self.train_rng)
             gae = compute_gae(buffer, cfg.ppo.gamma, cfg.ppo.gae_lambda,
@@ -305,8 +305,7 @@ class Trainer:
 
             class _CriticView:
                 def forward_np(self, x):
-                    _, v = stack.forward_with_adapters(task, x)
-                    return v[:, None]
+                    return stack.net_forward_np(task, "critic", x)
 
             return _CriticView()
         return self.critic
@@ -351,14 +350,14 @@ class Trainer:
             np.random.SeedSequence([cfg.seed, 0xE7A1, self.global_step]))
         phase_idx = self._phase_of(self.global_step - 1)
         phase = self.plan.phases[phase_idx]
-        result = evaluate_policy(self._source(), phase.level_specs(),
+        result = evaluate_policy(self._source(phase_idx), phase.level_specs(),
                                  cfg.eval_batch_size, cfg.max_eval_ep_len, rng)
         phase1_mean = None
         if cfg.also_eval_phase1 and phase_idx != 0:
             rng1 = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, 0xE7A2, self.global_step]))
             phase1_mean = evaluate_policy(
-                self._source(), self.plan.phases[0].level_specs(),
+                self._source(0), self.plan.phases[0].level_specs(),
                 cfg.eval_batch_size, cfg.max_eval_ep_len, rng1).mean_return
         act_mean = float(np.mean(self.act_count_accum)) if self.act_count_accum else 0.0
         self.act_count_accum = []
@@ -428,16 +427,33 @@ def run_three_phase(config: RunConfig, out_dir: Optional[str] = None) -> Metrics
     return report
 
 
-def resume(out_dir) -> MetricsReport:
-    """Continue an interrupted run from its last persisted rollout boundary."""
+def load_trainer(out_dir) -> Trainer:
+    """Rebuild a run's Trainer from its config.json and last state.pkl."""
     out_dir = Path(out_dir)
     config = config_from_flat_dict(json.loads((out_dir / "config.json").read_text()))
     trainer = Trainer(config, None)     # rebuild, then overwrite mutable state
     trainer.out_dir = out_dir
     with open(out_dir / "state.pkl", "rb") as f:
         trainer.restore(pickle.load(f))
+    return trainer
+
+
+def resume(out_dir) -> MetricsReport:
+    """Continue an interrupted run from its last persisted rollout boundary.
+
+    Update records written after that boundary (the run stopped between
+    logging an update and persisting it) are dropped, so the rerun
+    iterations do not log them twice; so is a last line the stop cut short.
+    """
+    trainer = load_trainer(out_dir)
+    updates = trainer.out_dir / "updates.jsonl"
+    if updates.exists():
+        lines = updates.read_text().splitlines(keepends=True)
+        updates.write_text("".join(
+            line for line in lines
+            if line.endswith("\n") and json.loads(line)["step"] <= trainer.global_step))
     report = trainer.run()
-    export_metrics(report, out_dir)
+    export_metrics(report, trainer.out_dir)
     return report
 
 

@@ -10,6 +10,7 @@ than itself), scaled by a recency-biased weight.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -139,20 +140,6 @@ class Orchestra:
 @dataclass
 class ActivationVector:
     bitmask: np.ndarray                      # bool (M,)
-    best: list[Optional[tuple[np.ndarray, float]]]  # (s*_m, similarity) when active
-
-
-def compute_activations(orchestra: Orchestra, state: np.ndarray,
-                        omega: float) -> ActivationVector:
-    M = len(orchestra)
-    bitmask = np.zeros(M, dtype=bool)
-    best: list[Optional[tuple[np.ndarray, float]]] = [None] * M
-    for m, ckpt in enumerate(orchestra.checkpoints):
-        sstar, sim, _ = ckpt.trusted.find_most_similar(state)
-        if sim > omega:
-            bitmask[m] = True
-            best[m] = (sstar, sim)
-    return ActivationVector(bitmask, best)
 
 
 def hierarchical_weights(bitmask: np.ndarray) -> np.ndarray:
@@ -171,70 +158,36 @@ def hierarchical_weights(bitmask: np.ndarray) -> np.ndarray:
 # recursion path. Memoization is per (sub-orchestra size, query state).
 
 
-def _expand(checkpoints: list[CheckpointPolicy], m_count: int, state: np.ndarray,
-            omega: float, memo: dict) -> list[tuple[int, float, np.ndarray]]:
-    if m_count == 0:
-        return []
-    key = (m_count, state.tobytes())
+def _expand(checkpoints: list[CheckpointPolicy], count: int, state: np.ndarray,
+            omega: float, memo: dict) -> tuple[ActivationVector, list]:
+    """Activations of the first ``count`` checkpoints at ``state`` and the
+    flattened terms of their joined policy."""
+    if count == 0:
+        return ActivationVector(np.zeros(0, dtype=bool)), []
+    key = (count, state.tobytes())
     hit = memo.get(key)
     if hit is not None:
         return hit
-    sims = np.empty(m_count)
-    matches = []
-    for j in range(m_count):
-        sstar, sim, _ = checkpoints[j].trusted.find_most_similar(state)
-        sims[j] = sim
-        matches.append(sstar)
-    bitmask = sims > omega
+    matches = [c.trusted.find_most_similar(state) for c in checkpoints[:count]]
+    bitmask = np.array([sim > omega for _, sim, _ in matches])
     weights = hierarchical_weights(bitmask)
     terms: list[tuple[int, float, np.ndarray]] = []
-    for j in range(m_count):
+    for j, (sstar, _, _) in enumerate(matches):
         if not bitmask[j]:
             continue
         w = float(weights[j])
-        sstar = matches[j]
         terms.append((j + 1, w, sstar))
-        for k, coeff, s in _expand(checkpoints, j, sstar, omega, memo):
+        for k, coeff, s in _expand(checkpoints, j, sstar, omega, memo)[1]:
             terms.append((k, w * coeff, s))
-    memo[key] = terms
-    return terms
+    memo[key] = hit = (ActivationVector(bitmask), terms)
+    return hit
 
 
 def expand_joined(orchestra: Orchestra, state: np.ndarray, omega: float,
                   memo: Optional[dict] = None):
     """Activation bitmask plus flattened checkpoint terms for one state."""
     ckpts = orchestra.checkpoints
-    M = len(ckpts)
-    act = compute_activations(orchestra, state, omega)
-    terms: list[tuple[int, float, np.ndarray]] = []
-    if memo is None:
-        memo = {}
-    weights = hierarchical_weights(act.bitmask)
-    for m in range(M):
-        if not act.bitmask[m]:
-            continue
-        w = float(weights[m])
-        sstar = act.best[m][0]
-        terms.append((m + 1, w, sstar))
-        for k, coeff, s in _expand(ckpts, m, sstar, omega, memo):
-            terms.append((k, w * coeff, s))
-    return act, terms
-
-
-def joined_policy_logits(learner: Mlp, orchestra: Orchestra, state: np.ndarray,
-                         omega: float) -> np.ndarray:
-    """Eq.-style combined logits for one state (raw numpy, no tape)."""
-    logits = learner.forward_np(state[None, :])[0]
-    _, terms = expand_joined(orchestra, state, omega)
-    eval_memo: dict = {}
-    for k, coeff, s in terms:
-        ekey = (k, s.tobytes())
-        out = eval_memo.get(ekey)
-        if out is None:
-            out = orchestra.checkpoints[k - 1].actor.forward_np(s[None, :])[0]
-            eval_memo[ekey] = out
-        logits = logits + coeff * out
-    return logits
+    return _expand(ckpts, len(ckpts), state, omega, {} if memo is None else memo)
 
 
 class JoinedSource(ActionSource):
@@ -246,15 +199,15 @@ class JoinedSource(ActionSource):
         self.cfg = cfg
 
     def logits_and_aux(self, obs_batch: np.ndarray):
+        """Learner logits plus every checkpoint term of the joined policy,
+        each checkpoint evaluated once per distinct query state."""
         learner_logits = self.learner.forward_np(obs_batch)
-        N = obs_batch.shape[0]
-        M = len(self.orchestra)
         aux = []
         logits = learner_logits.copy()
         memo: dict = {}
         eval_memo: dict = {}
-        for i in range(N):
-            act, terms = expand_joined(self.orchestra, obs_batch[i],
+        for i, obs in enumerate(obs_batch):
+            act, terms = expand_joined(self.orchestra, obs,
                                        self.cfg.min_similarity_score, memo)
             for k, coeff, s in terms:
                 ekey = (k, s.tobytes())
@@ -318,6 +271,14 @@ def checkpoint_now(learner: Mlp, orchestra: Orchestra,
     return ckpt
 
 
+def _stack_terms(entries: list[tuple[int, float, np.ndarray]]):
+    """(row, coefficient, state) entries as row indices, a coefficient
+    column and a state matrix."""
+    rows = np.fromiter((e[0] for e in entries), dtype=np.int64)
+    coeffs = np.fromiter((e[1] for e in entries), dtype=np.float64)
+    return rows, coeffs[:, None], np.stack([e[2] for e in entries])
+
+
 def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
                          critic: Mlp, orchestra: Orchestra, ppo_cfg: PpoConfig,
                          hop_cfg: HopConfig, actor_opt: Adam, critic_opt: Adam,
@@ -361,20 +322,16 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
                 else:
                     const_batches.setdefault(k, []).append((row, coeff, s))
         for k, entries in const_batches.items():
-            rows = np.fromiter((e[0] for e in entries), dtype=np.int64)
-            coeffs = np.fromiter((e[1] for e in entries), dtype=np.float64)
-            states = np.stack([e[2] for e in entries])
+            rows, coeffs, states = _stack_terms(entries)
             out = orchestra.checkpoints[k - 1].actor.forward_np(states)
-            np.add.at(const, rows, coeffs[:, None] * out)
+            np.add.at(const, rows, coeffs * out)
         logits = logits + Tensor(const)
         extra_params = []
         for k, entries in grad_batches.items():
-            rows = np.fromiter((e[0] for e in entries), dtype=np.int64)
-            coeffs = np.fromiter((e[1] for e in entries), dtype=np.float64)
-            states = np.stack([e[2] for e in entries])
+            rows, coeffs, states = _stack_terms(entries)
             ckpt = orchestra.checkpoints[k - 1]
             out = ckpt.actor.forward(Tensor(states))
-            logits = ad.index_add(logits, rows, out * Tensor(coeffs[:, None]))
+            logits = ad.index_add(logits, rows, out * Tensor(coeffs))
             extra_params.extend(ckpt.actor.parameters)
         return logits, extra_params
 
@@ -389,8 +346,6 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
 
 def save_checkpoint(ckpt: CheckpointPolicy, directory, hop_cfg: HopConfig):
     """Directory bundle: manifest + actor blob + trusted matrices."""
-    import json
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -412,8 +367,6 @@ def save_checkpoint(ckpt: CheckpointPolicy, directory, hop_cfg: HopConfig):
 
 
 def load_checkpoint(directory, rng: Optional[np.random.Generator] = None) -> CheckpointPolicy:
-    import json
-
     directory = Path(directory)
     with open(directory / "manifest.json") as f:
         manifest = json.load(f)

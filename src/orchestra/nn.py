@@ -4,11 +4,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
 
@@ -38,10 +37,8 @@ class Mlp:
     graph-building forward (updates) and the raw-numpy forward (rollouts).
     """
 
-    def __init__(self, sizes: Sequence[int], rng: np.random.Generator,
-                 hidden_activation: str = "tanh"):
+    def __init__(self, sizes: Sequence[int], rng: np.random.Generator):
         self.sizes = list(sizes)
-        self.hidden_activation = hidden_activation
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
         for w, b in init_mlp_params(sizes, rng):
@@ -55,18 +52,11 @@ class Mlp:
             out.extend((w, b))
         return out
 
-    def set_requires_grad(self, flag: bool):
-        for p in self.parameters:
-            p.requires_grad = flag
-
     def _check_input(self, x: np.ndarray):
         if x.shape[-1] != self.sizes[0]:
             raise DimensionError(
                 f"layer 0 expects input width {self.sizes[0]}, got {x.shape[-1]}"
             )
-
-    def _act(self, h: Tensor) -> Tensor:
-        return h.tanh() if self.hidden_activation == "tanh" else h.relu()
 
     def forward(self, x, return_hidden: bool = False):
         """Graph-building forward. Accepts a Tensor or ndarray of shape (B, in)."""
@@ -82,7 +72,7 @@ class Mlp:
                 )
             h = h @ w + b
             if i < n - 1:
-                h = self._act(h)
+                h = h.tanh()
                 last_hidden = h
         if return_hidden:
             return h, last_hidden
@@ -97,7 +87,7 @@ class Mlp:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w.data + b.data
             if i < n - 1:
-                h = np.tanh(h) if self.hidden_activation == "tanh" else np.maximum(h, 0.0)
+                h = np.tanh(h)
                 last_hidden = h
         if not np.isfinite(h).all():
             raise ContractError("forward_np produced non-finite output")
@@ -117,31 +107,13 @@ class Mlp:
     def clone(self) -> "Mlp":
         dup = Mlp.__new__(Mlp)
         dup.sizes = list(self.sizes)
-        dup.hidden_activation = self.hidden_activation
         dup.weights = [Tensor(w.data.copy(), requires_grad=True) for w in self.weights]
         dup.biases = [Tensor(b.data.copy(), requires_grad=True) for b in self.biases]
         return dup
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stabilized softmax; output sums to 1 along the last axis."""
-    if not np.isfinite(logits).all():
-        raise ContractError("softmax: non-finite logits")
-    return ad.softmax_np(np.asarray(logits, dtype=np.float64))
-
-
-def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Sample an index from a probability vector; reproducible given rng."""
-    p = np.asarray(probs, dtype=np.float64)
-    total = p.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        raise ContractError("sample_categorical: degenerate distribution")
-    cdf = np.cumsum(p / total)
-    u = rng.random()
-    return int(np.searchsorted(cdf, u, side="right").clip(0, len(p) - 1))
-
-
 def sample_categorical_batch(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One index per row of a batch of probability vectors; reproducible given rng."""
     p = np.asarray(probs, dtype=np.float64)
     totals = p.sum(axis=-1, keepdims=True)
     if (totals <= 0.0).any() or not np.isfinite(totals).all():
@@ -182,11 +154,23 @@ class Adam:
                 raise DimensionError(
                     f"gradient shape {g.shape} != parameter shape {p.data.shape}"
                 )
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            # in place, operation for operation the same arithmetic as
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+            # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+            m, v = self.m[i], self.v[i]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            g2 = (1.0 - self.beta2) * g
+            g2 *= g
+            v *= self.beta2
+            v += g2
+            step = m / bc1
+            step *= self.learning_rate
+            denom = np.divide(v, bc2, out=g2)
+            np.sqrt(denom, out=denom)
+            denom += self.epsilon
+            step /= denom
+            p.data = p.data - step
 
 
 def clip_grad_norm(params: Sequence[Tensor], max_norm: float) -> float:

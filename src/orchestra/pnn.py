@@ -88,7 +88,11 @@ class PnnStack:
             raise ConfigError(f"unknown task id {task_id!r}; add_column first")
         return self.task_index[task_id]
 
-    def _net_forward_np(self, col_idx: int, net: str, x: np.ndarray) -> np.ndarray:
+    def net_forward_np(self, task_id: str, net: str, obs: np.ndarray) -> np.ndarray:
+        """Output of the task's ``net`` column ("actor" or "critic") with its
+        adapters, for a batch of observations."""
+        col_idx = self._column(task_id)
+        x = np.atleast_2d(np.asarray(obs, dtype=np.float64))
         mlp: Mlp = getattr(self.columns[col_idx], net)
         out, h = mlp.forward_np(x, return_hidden=True)
         if col_idx == 0:
@@ -103,9 +107,7 @@ class PnnStack:
 
     def _net_forward_graph(self, col_idx: int, net: str, x: np.ndarray):
         mlp: Mlp = getattr(self.columns[col_idx], net)
-        h = Tensor(x)
-        for i in range(len(mlp.weights) - 1):
-            h = (h @ mlp.weights[i] + mlp.biases[i]).tanh()
+        _, h = mlp.forward(x, return_hidden=True)
         extras: list[Tensor] = []
         for src in range(col_idx):
             src_mlp: Mlp = getattr(self.columns[src], net)
@@ -118,11 +120,8 @@ class PnnStack:
 
     def forward_with_adapters(self, task_id: str, obs: np.ndarray):
         """(logits, value) for a batch of observations under the task's column."""
-        col = self._column(task_id)
-        x = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        logits = self._net_forward_np(col, "actor", x)
-        values = self._net_forward_np(col, "critic", x)[:, 0]
-        return logits, values
+        return (self.net_forward_np(task_id, "actor", obs),
+                self.net_forward_np(task_id, "critic", obs)[:, 0])
 
     def standalone_forward(self, col_idx: int, obs: np.ndarray) -> np.ndarray:
         """Column forward ignoring every adapter (the no-forgetting probe)."""
@@ -135,7 +134,7 @@ class ColumnSource(ActionSource):
         self.task_id = task_id
 
     def logits_and_aux(self, obs_batch: np.ndarray):
-        logits, _ = self.stack.forward_with_adapters(self.task_id, obs_batch)
+        logits = self.stack.net_forward_np(self.task_id, "actor", obs_batch)
         return logits, [None] * obs_batch.shape[0]
 
 

@@ -5,6 +5,8 @@ The directional experiments (criteria using the full three-phase protocol)
 run the real desk-scale configuration and take the bulk of the runtime; they
 are shared across tests through session-scoped fixtures.
 """
+import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -15,15 +17,16 @@ from orchestra.autodiff import Tensor
 from orchestra.envs import LevelSpec, N_ACTIONS, OBS_DIM, EnvInstance
 from orchestra.harness import (RunConfig, Trainer, final_rewards,
                                run_three_phase, steps_to_return)
-from orchestra.hop import (CheckpointPolicy, HopConfig, Orchestra,
-                           TrustedStateSet, hierarchical_weights,
-                           joined_policy_logits, masked_policy_update)
+from orchestra.hop import (CheckpointPolicy, HopConfig, JoinedSource,
+                           Orchestra, TrustedStateSet, hierarchical_weights,
+                           masked_policy_update)
 from orchestra.nn import Adam, Mlp
 from orchestra.ppo import (EVAL_STEP_PENALTY, GaeOutput, PpoConfig,
                            RolloutBuffer, evaluate_policy)
 from orchestra.pnn import PnnStack
 
 SEEDS = (1, 2, 3, 4)
+DESK_WORKERS = 2
 
 
 def report(name: str, ok: bool, detail: str):
@@ -191,7 +194,8 @@ def test_joined_recursion_matches_oracle_for_all_patterns():
                 ts.add_episode([decoy], 9.0)
                 ckpts.append(CheckpointPolicy(m + 1, Mlp([dim, 6, 4], rng), ts, 0))
             orch = Orchestra(ckpts)
-            got = joined_policy_logits(learner, orch, q, omega)
+            source = JoinedSource(learner, orch, HopConfig(min_similarity_score=omega))
+            got = source.logits_and_aux(q[None, :])[0][0]
             want = _oracle_joined(learner, ckpts, q, omega)
             worst = max(worst, float(np.abs(got - want).max()))
             n_checked += 1
@@ -250,24 +254,14 @@ def _desk_config(algorithm, seed):
     return cfg
 
 
-@pytest.fixture(scope="session")
-def directional_runs():
-    """4 paired seeds of HOP vs PPO plus one PNN run, desk scale."""
-    out = {"hop": {}, "ppo": {}, "hop_trainers": {}}
-    for seed in SEEDS:
-        for algo in ("ppo", "hop"):
-            trainer = Trainer(_desk_config(algo, seed))
-            rep = trainer.run()
-            out[algo][seed] = rep
-            if algo == "hop":
-                out["hop_trainers"][seed] = trainer
-    return out
-
-
-@pytest.fixture(scope="session")
-def pnn_run():
-    """One PNN run with a parameter snapshot taken at the phase-1 boundary."""
-    trainer = Trainer(_desk_config("pnn", SEEDS[0]))
+def _desk_run(job):
+    """One desk-scale run: (report, trainer) for PPO and HOP; for PNN the
+    report plus whether column 1 stayed bit-exact through phase 2, from a
+    parameter snapshot taken at the phase-1 boundary."""
+    algorithm, seed = job
+    trainer = Trainer(_desk_config(algorithm, seed))
+    if algorithm != "pnn":
+        return trainer.run(), trainer
     per_phase = trainer.total_iterations // 3
     trainer.run(max_iterations=per_phase)
     col0 = trainer.stack.columns[0]
@@ -277,6 +271,49 @@ def pnn_run():
     bit_exact = all(np.array_equal(a, b) for a, b in zip(snapshot, after_phase2))
     rep = trainer.run()                        # phase 3 to completion
     return {"report": rep, "phase1_column_bit_exact": bit_exact}
+
+
+@pytest.fixture(scope="session")
+def desk_runs():
+    """The nine desk-scale runs (4 paired seeds of HOP vs PPO, one PNN run),
+    two at a time in worker processes with one BLAS thread each.
+
+    A run's numbers depend on the BLAS thread count, so it is fixed at one
+    rather than left to the host's core count; two one-thread workers also
+    take about half the time of the runs in sequence at two threads.
+    """
+    jobs = [("pnn", SEEDS[0])] + [(algo, seed) for seed in SEEDS
+                                   for algo in ("hop", "ppo")]
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"   # read by the workers' numpy
+    try:
+        pool = multiprocessing.get_context("spawn").Pool(DESK_WORKERS)
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+    with pool:
+        return dict(zip(jobs, pool.map(_desk_run, jobs, chunksize=1)))
+
+
+@pytest.fixture(scope="session")
+def directional_runs(desk_runs):
+    """4 paired seeds of HOP vs PPO, desk scale."""
+    out = {"hop": {}, "ppo": {}, "hop_trainers": {}}
+    for seed in SEEDS:
+        for algo in ("ppo", "hop"):
+            rep, trainer = desk_runs[(algo, seed)]
+            out[algo][seed] = rep
+            if algo == "hop":
+                out["hop_trainers"][seed] = trainer
+    return out
+
+
+@pytest.fixture(scope="session")
+def pnn_run(desk_runs):
+    """One PNN run with a parameter snapshot taken at the phase-1 boundary."""
+    return desk_runs[("pnn", SEEDS[0])]
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ def test_softmax_np_shift_invariance(logits, c):
     p2 = ad.softmax_np(x + c)
     assert abs(p1.sum() - 1.0) < 1e-9
     assert np.abs(p1 - p2).max() < 1e-9
-    assert np.argmax(p1) == np.argmax(p2)
+    assert p1[np.argmax(p2)] >= p1.max() - 1e-9
     assert (p1 > 0).all()
 
 

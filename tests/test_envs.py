@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orchestra.envs import (CH_AGENT, FAMILIES, GRID, LevelSpec, MOVES,
-                            N_ACTIONS, OBS_DIM, VecEnv, generate_layout,
-                            make_env)
+from orchestra.envs import (CH_AGENT, FAMILIES, GRID, EnvInstance, LevelSpec,
+                            MOVES, N_ACTIONS, OBS_DIM, VecEnv, generate_layout)
 from orchestra.errors import ConfigError, ContractError
 
 # hand-solved optimal route for (runner, seed=7), found with a BFS oracle
@@ -15,21 +14,21 @@ RUNNER7_SCRIPT = [0, 0, 3, 3, 3, 0, 3, 0, 3, 3, 3, 3]
 
 
 def test_same_spec_generates_identical_levels():
-    a = make_env(LevelSpec("runner", 7))
-    b = make_env(LevelSpec("runner", 7))
+    a = EnvInstance(LevelSpec("runner", 7))
+    b = EnvInstance(LevelSpec("runner", 7))
     assert np.array_equal(a.observation(), b.observation())
     assert a.render() == b.render()
 
 
 def test_different_seeds_differ():
-    a = make_env(LevelSpec("runner", 7))
-    b = make_env(LevelSpec("runner", 8))
+    a = EnvInstance(LevelSpec("runner", 7))
+    b = EnvInstance(LevelSpec("runner", 8))
     assert not np.array_equal(a.observation(), b.observation())
 
 
 def test_unknown_family_rejected():
     with pytest.raises(ConfigError):
-        make_env(LevelSpec("swimmer", 1))
+        EnvInstance(LevelSpec("swimmer", 1))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -52,7 +51,7 @@ def test_generated_levels_have_reachable_goal(family, seed):
 
 
 def test_reset_idempotent_and_single_agent_cell():
-    env = make_env(LevelSpec("dodger", 3))
+    env = EnvInstance(LevelSpec("dodger", 3))
     o1 = env.reset()
     o2 = env.reset()
     assert np.array_equal(o1, o2)
@@ -62,7 +61,7 @@ def test_reset_idempotent_and_single_agent_cell():
 
 
 def test_reset_after_episode_restores_initial_observation():
-    env = make_env(LevelSpec("runner", 7))
+    env = EnvInstance(LevelSpec("runner", 7))
     initial = env.observation().copy()
     for a in RUNNER7_SCRIPT:
         env.step(a)
@@ -71,7 +70,7 @@ def test_reset_after_episode_restores_initial_observation():
 
 
 def test_wall_bump_is_noop():
-    env = make_env(LevelSpec("runner", 7))
+    env = EnvInstance(LevelSpec("runner", 7))
     # start is on the left edge; moving left is blocked by the boundary
     before = env.agent
     res = env.step(2)
@@ -80,35 +79,35 @@ def test_wall_bump_is_noop():
 
 
 def test_scripted_optimal_route_scores_completion():
-    env = make_env(LevelSpec("runner", 7))
+    env = EnvInstance(LevelSpec("runner", 7))
     total = sum(env.step(a).reward for a in RUNNER7_SCRIPT)
     assert total == 10.0
     assert env.done
 
 
 def test_truncation_at_max_ep_length():
-    env = make_env(LevelSpec("runner", 7), max_ep_length=5)
+    env = EnvInstance(LevelSpec("runner", 7), max_ep_length=5)
     for _ in range(4):
         assert not env.step(5).done  # action 5 is a no-op
     assert env.step(5).done
 
 
 def test_step_after_done_raises():
-    env = make_env(LevelSpec("runner", 7), max_ep_length=1)
+    env = EnvInstance(LevelSpec("runner", 7), max_ep_length=1)
     env.step(5)
     with pytest.raises(ContractError):
         env.step(5)
 
 
 def test_invalid_action_rejected():
-    env = make_env(LevelSpec("runner", 7))
+    env = EnvInstance(LevelSpec("runner", 7))
     with pytest.raises(ContractError):
         env.step(8)
 
 
 def test_vec_step_single_env_matches_plain_step():
     vec = VecEnv([LevelSpec("runner", 7)], num_envs=1)
-    env = make_env(LevelSpec("runner", 7))
+    env = EnvInstance(LevelSpec("runner", 7))
     for a in RUNNER7_SCRIPT[:-1]:
         r_vec = vec.vec_step([a])[0]
         r_env = env.step(a)
@@ -122,7 +121,7 @@ def test_vec_step_matches_sequential_oracle():
     specs = [LevelSpec("dodger", s) for s in (1, 2, 3)]
     vec = VecEnv(specs, num_envs=3, max_ep_length=50)
     cursor = 3
-    solo = [make_env(specs[i], 50) for i in range(3)]
+    solo = [EnvInstance(specs[i], 50) for i in range(3)]
     rng = np.random.default_rng(0)
     for _ in range(120):
         actions = rng.integers(0, N_ACTIONS, size=3)
@@ -132,7 +131,7 @@ def test_vec_step_matches_sequential_oracle():
             assert r.reward == res.reward and r.done == res.done
             obs = r.observation
             if r.done:
-                solo[i] = make_env(specs[cursor % len(specs)], 50)
+                solo[i] = EnvInstance(specs[cursor % len(specs)], 50)
                 cursor += 1
                 obs = solo[i].observation()
             assert np.array_equal(obs, res.observation)
@@ -143,7 +142,7 @@ def test_vec_step_auto_resets_done_env():
     vec.vec_step([5])
     res = vec.vec_step([5])
     assert res[0].done
-    fresh = make_env(LevelSpec("runner", 7))
+    fresh = EnvInstance(LevelSpec("runner", 7))
     assert np.array_equal(res[0].observation, fresh.observation())
     # next call steps the fresh episode without error
     vec.vec_step([5])
@@ -162,7 +161,7 @@ def test_trajectory_is_pure_function_of_spec_and_actions(family, seed, action_se
     actions = rng.integers(0, N_ACTIONS, size=40)
     traces = []
     for _ in range(2):
-        env = make_env(LevelSpec(family, seed), max_ep_length=40)
+        env = EnvInstance(LevelSpec(family, seed), max_ep_length=40)
         trace = []
         for a in actions:
             res = env.step(int(a))
@@ -177,7 +176,7 @@ def test_trajectory_is_pure_function_of_spec_and_actions(family, seed, action_se
 @settings(max_examples=30, deadline=None)
 def test_episodic_return_bounded(family, seed, action_seed):
     rng = np.random.default_rng(action_seed)
-    env = make_env(LevelSpec(family, seed), max_ep_length=300)
+    env = EnvInstance(LevelSpec(family, seed), max_ep_length=300)
     total = 0.0
     while not env.done:
         total += env.step(int(rng.integers(0, N_ACTIONS))).reward
@@ -185,7 +184,7 @@ def test_episodic_return_bounded(family, seed, action_seed):
 
 
 def test_render_shape_and_markers():
-    env = make_env(LevelSpec("climber", 2))
+    env = EnvInstance(LevelSpec("climber", 2))
     text = env.render()
     lines = text.splitlines()
     assert len(lines) == GRID and all(len(l) == GRID for l in lines)

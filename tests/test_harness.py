@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from orchestra import harness
 from orchestra.cli import main as cli_main
 from orchestra.errors import ConfigError
 from orchestra.harness import (MetricsReport, MetricsRow, RunConfig, Trainer,
@@ -189,6 +190,57 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     assert resumed.rows == full.rows
     assert (part_dir / "metrics.csv").read_bytes() == \
            (tmp_path / "full" / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("stage", ["_evaluate", "_persist"])
+def test_resume_after_kill_inside_an_iteration(tmp_path, monkeypatch, stage):
+    def config():
+        cfg = tiny_run_config("hop", seed=4)
+        cfg.hop.reward_limit = -100.0
+        return cfg
+
+    run_three_phase(config(), tmp_path / "full")
+
+    # die on the second call, after that iteration's update was logged but
+    # before its state was persisted
+    original = getattr(Trainer, stage)
+    calls = []
+
+    def dies_on_second_call(self):
+        calls.append(stage)
+        if len(calls) == 2:
+            raise RuntimeError("killed")
+        return original(self)
+
+    monkeypatch.setattr(Trainer, stage, dies_on_second_call)
+    with pytest.raises(RuntimeError, match="killed"):
+        run_three_phase(config(), tmp_path / "part")
+    monkeypatch.undo()
+    resume(tmp_path / "part")
+
+    for name in ("updates.jsonl", "metrics.csv"):
+        assert (tmp_path / "part" / name).read_bytes() == \
+               (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_pnn_phase1_evaluation_uses_the_phase1_column(monkeypatch):
+    evaluated = []
+    original = harness.evaluate_policy
+
+    def spy(source, level_specs, *args):
+        evaluated.append((source.task_id, tuple(level_specs)))
+        return original(source, level_specs, *args)
+
+    monkeypatch.setattr(harness, "evaluate_policy", spy)
+    trainer = Trainer(tiny_run_config("pnn", also_eval_phase1=True))
+    report = trainer.run()
+
+    task_of_levels = {tuple(p.level_specs()): p.task_id() for p in trainer.plan.phases}
+    # one evaluation per phase, plus a phase-1 evaluation in phases 2 and 3
+    assert len(evaluated) == 5
+    for task_id, levels in evaluated:
+        assert task_id == task_of_levels[levels]
+    assert [r.phase1_mean_return is None for r in report.rows] == [True, False, False]
 
 
 def test_resume_reads_persisted_flat_config(tmp_path):

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orchestra import autodiff as ad
-from orchestra.envs import LevelSpec, N_ACTIONS, OBS_DIM, make_env
+from orchestra.envs import EnvInstance, LevelSpec, N_ACTIONS, OBS_DIM
 from orchestra.errors import ContractError
 from orchestra.hop import (CheckpointPolicy, HopConfig, JoinedSource,
                            Orchestra, TrustedStateSet, checkpoint_now,
-                           compute_activations, cosine_similarity,
-                           expand_joined, hierarchical_weights,
-                           joined_policy_logits, load_checkpoint,
+                           cosine_similarity, expand_joined,
+                           hierarchical_weights, load_checkpoint,
                            masked_policy_update, save_checkpoint)
 from orchestra.nn import Adam, Mlp
 from orchestra.ppo import (GaeOutput, PpoConfig, RolloutBuffer,
@@ -78,10 +77,10 @@ def test_activation_threshold_is_strict():
     omega = 0.98
     just_above = _rotated(u, np.arccos(0.985), rng)
     just_below = _rotated(u, np.arccos(0.975), rng)
-    assert compute_activations(orch, just_above, omega).bitmask[0]
-    assert not compute_activations(orch, just_below, omega).bitmask[0]
+    assert expand_joined(orch, just_above, omega)[0].bitmask[0]
+    assert not expand_joined(orch, just_below, omega)[0].bitmask[0]
     # exact match always activates
-    assert compute_activations(orch, 3.0 * u, omega).bitmask[0]
+    assert expand_joined(orch, 3.0 * u, omega)[0].bitmask[0]
 
 
 # --- hierarchical recency weights ----------------------------------------------
@@ -147,6 +146,12 @@ def _oracle_joined(learner, checkpoints, state, omega):
         if bits[m]:
             logits = logits + w[m] * sub(m, matches[m])
     return logits
+
+
+def joined_policy_logits(learner, orch, state, omega):
+    """Joined logits of one state, through the program's JoinedSource."""
+    source = JoinedSource(learner, orch, HopConfig(min_similarity_score=omega))
+    return source.logits_and_aux(state[None, :])[0][0]
 
 
 def _random_orchestra(rng, m, dim=8, states_per_ckpt=5, out=4, states=None):
@@ -283,7 +288,7 @@ def _hop_setup(m_ckpts, seed=50, omega=0.6):
     critic = Mlp([OBS_DIM, 8, 1], rng)
     # trusted sets drawn from genuine level observations so the similarity
     # scan actually activates during the rollout
-    env = make_env(LevelSpec("runner", 1), max_ep_length=40)
+    env = EnvInstance(LevelSpec("runner", 1), max_ep_length=40)
     states = [env.observation()]
     while not env.done:
         env.step(int(rng.integers(0, 4)))

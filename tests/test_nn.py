@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from orchestra.autodiff import Tensor
+from orchestra.autodiff import Tensor, softmax_np
 from orchestra.errors import ContractError, DimensionError
 from orchestra.nn import (Adam, Mlp, load_mlp_arrays, load_params,
-                          mlp_named_arrays, sample_categorical,
-                          sample_categorical_batch, save_params, softmax)
+                          mlp_named_arrays, sample_categorical_batch,
+                          save_params)
+
+
+def sample_categorical(probs, rng) -> int:
+    """One draw from a single probability vector via the batched sampler."""
+    return int(sample_categorical_batch(np.asarray(probs)[None, :], rng)[0])
 
 
 def test_zero_weights_zero_biases_map_to_zero(rng):
@@ -38,12 +43,12 @@ def test_shape_mismatch_names_offending_layer(rng):
 
 
 def test_softmax_uniform_and_direct_values():
-    assert np.allclose(softmax(np.zeros(3)), np.full(3, 1 / 3), atol=1e-12)
-    probs = softmax(np.array([1.0, 2.0, 3.0]))
+    assert np.allclose(softmax_np(np.zeros(3)), np.full(3, 1 / 3), atol=1e-12)
+    probs = softmax_np(np.array([1.0, 2.0, 3.0]))
     e = np.exp([1.0, 2.0, 3.0])
     assert np.abs(probs - e / e.sum()).max() < 1e-12
     with pytest.raises(ContractError):
-        softmax(np.array([np.nan, 0.0]))
+        softmax_np(np.array([np.nan, 0.0]))
 
 
 def test_sample_categorical_one_hot_and_determinism():
