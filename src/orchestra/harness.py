@@ -9,6 +9,7 @@ peak evaluation return is re-attained) and the final evaluation return.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import os
 import pickle
@@ -236,6 +237,8 @@ class Trainer:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             with open(self.out_dir / "config.json", "w") as f:
                 json.dump(config_to_flat_dict(config), f, indent=1)
+            with open(self.out_dir / RUN_ENV, "w") as f:
+                json.dump(run_environment(), f, indent=1)
 
     # --- phases ---------------------------------------------------------
 
@@ -428,23 +431,31 @@ def run_three_phase(config: RunConfig, out_dir: Optional[str] = None) -> Metrics
 
 
 def load_trainer(out_dir) -> Trainer:
-    """Rebuild a run's Trainer from its config.json and last state.pkl."""
+    """Rebuild a run's Trainer from its config.json and last state.pkl; a
+    run stopped before its first persist has no state.pkl and starts at
+    step 0."""
     out_dir = Path(out_dir)
     config = config_from_flat_dict(json.loads((out_dir / "config.json").read_text()))
     trainer = Trainer(config, None)     # rebuild, then overwrite mutable state
     trainer.out_dir = out_dir
-    with open(out_dir / "state.pkl", "rb") as f:
-        trainer.restore(pickle.load(f))
+    state = out_dir / "state.pkl"
+    if state.exists():
+        with open(state, "rb") as f:
+            trainer.restore(pickle.load(f))
     return trainer
 
 
 def resume(out_dir) -> MetricsReport:
     """Continue an interrupted run from its last persisted rollout boundary.
 
-    Update records written after that boundary (the run stopped between
-    logging an update and persisting it) are dropped, so the rerun
-    iterations do not log them twice; so is a last line the stop cut short.
+    Refuses with ConfigError when the numpy/BLAS environment differs from
+    the one recorded when the run started, since the rerun would then not be
+    bit-identical. Update records written after that boundary (the run
+    stopped between logging an update and persisting it) are dropped, so
+    the rerun iterations do not log them twice; so is a last line the stop
+    cut short.
     """
+    _check_run_environment(out_dir)
     trainer = load_trainer(out_dir)
     updates = trainer.out_dir / "updates.jsonl"
     if updates.exists():
@@ -455,6 +466,66 @@ def resume(out_dir) -> MetricsReport:
     report = trainer.run()
     export_metrics(report, trainer.out_dir)
     return report
+
+
+# --- run environment -----------------------------------------------------------
+#
+# Same config + same seed gives bit-identical runs only under the same numpy,
+# BLAS and BLAS thread count: a BLAS splits a matmul differently at another
+# thread count. A run records them in run_env.json and resume checks them.
+
+RUN_ENV = "run_env.json"
+_OPENBLAS_THREAD_GETTERS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                            "scipy_openblas_get_num_threads64_",
+                            "scipy_openblas_get_num_threads")
+
+
+def _openblas_threads() -> Optional[int]:
+    """Thread count of the loaded OpenBLAS; None where it cannot be asked."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:     # not Linux
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_THREAD_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return int(getter())
+    return None
+
+
+def run_environment() -> dict:
+    """numpy version, BLAS name and version, and OpenBLAS thread count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):       # numpy before 1.26 has no dict mode
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+        "blas_threads": _openblas_threads(),
+    }
+
+
+def _check_run_environment(out_dir):
+    """Raise ConfigError if the run's recorded environment differs from this
+    process's. Runs recorded before run_env.json existed are not checked."""
+    path = Path(out_dir) / RUN_ENV
+    if not path.exists():
+        return
+    recorded = json.loads(path.read_text())
+    current = run_environment()
+    drift = [f"{key}: {recorded.get(key)!r} -> {current.get(key)!r}"
+             for key in sorted(set(recorded) | set(current))
+             if recorded.get(key) != current.get(key)]
+    if drift:
+        raise ConfigError(f"run environment changed since {path} was written "
+                          f"({'; '.join(drift)}); a resumed run would not be "
+                          "bit-identical")
 
 
 # --- flat JSON configuration -------------------------------------------------

@@ -79,6 +79,10 @@ class TrustedStateSet:
             self._matrix = np.stack(self.units) if self.units else np.zeros((0, 1))
         return self._matrix
 
+    def __getstate__(self):
+        # the matrix is a cache of ``units``; it is rebuilt on first use
+        return {**self.__dict__, "_matrix": None}
+
     def add_episode(self, states: Sequence[np.ndarray], episode_return: float):
         for s in states:
             s = np.asarray(s, dtype=np.float64)
@@ -143,51 +147,102 @@ class ActivationVector:
 
 
 def hierarchical_weights(bitmask: np.ndarray) -> np.ndarray:
-    """W_m = I_m / (1 + number of active checkpoints at index >= m)."""
+    """W_m = I_m / (1 + number of active checkpoints at index >= m), along
+    the last axis."""
     I = np.asarray(bitmask, dtype=np.float64)
-    suffix = np.cumsum(I[::-1])[::-1]
+    suffix = np.cumsum(I[..., ::-1], axis=-1)[..., ::-1]
     return I / (1.0 + suffix)
 
 
 # --- joined-logit expansion -------------------------------------------------
 #
 # The joined policy is evaluated by flattening its recursion into a list of
-# (checkpoint, query state, coefficient) terms. Checkpoint m's own joined
-# policy re-computes activations of checkpoints 1..m-1 against its query
-# state, so each term's coefficient is the product of the weights along its
-# recursion path. Memoization is per (sub-orchestra size, query state).
+# (checkpoint, coefficient, query state) terms. An active checkpoint m adds
+# its actor at its best-matching trusted state s*, plus the joined policy of
+# checkpoints 1..m-1 at s*, both scaled by W_m; so each term's coefficient is
+# the product of the weights along its recursion path. s* is one of m's own
+# trusted states, so that inner expansion depends only on the trusted sets
+# and omega: it is computed once per trusted state, bottom-up, and looked up.
 
 
-def _expand(checkpoints: list[CheckpointPolicy], count: int, state: np.ndarray,
-            omega: float, memo: dict) -> tuple[ActivationVector, list]:
-    """Activations of the first ``count`` checkpoints at ``state`` and the
-    flattened terms of their joined policy."""
-    if count == 0:
-        return ActivationVector(np.zeros(0, dtype=bool)), []
-    key = (count, state.tobytes())
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    matches = [c.trusted.find_most_similar(state) for c in checkpoints[:count]]
-    bitmask = np.array([sim > omega for _, sim, _ in matches])
-    weights = hierarchical_weights(bitmask)
-    terms: list[tuple[int, float, np.ndarray]] = []
-    for j, (sstar, _, _) in enumerate(matches):
-        if not bitmask[j]:
-            continue
-        w = float(weights[j])
-        terms.append((j + 1, w, sstar))
-        for k, coeff, s in _expand(checkpoints, j, sstar, omega, memo)[1]:
-            terms.append((k, w * coeff, s))
-    memo[key] = hit = (ActivationVector(bitmask), terms)
-    return hit
+# Entries of the similarity matrix (rows x stacked states) that one scan
+# builds while the tables are filled, which bounds its memory.
+_SCAN_CELLS = 1 << 20
 
 
-def expand_joined(orchestra: Orchestra, state: np.ndarray, omega: float,
-                  memo: Optional[dict] = None):
-    """Activation bitmask plus flattened checkpoint terms for one state."""
-    ckpts = orchestra.checkpoints
-    return _expand(ckpts, len(ckpts), state, omega, {} if memo is None else memo)
+class JoinedIndex:
+    """The trusted sets of a list of checkpoints, arranged for batched
+    joined-policy expansion.
+
+    ``units_t`` stacks every checkpoint's unit vectors as the columns of one
+    ``D x S`` matrix, checkpoint m owning columns ``offsets[m]:offsets[m+1]``.
+    ``tables[m][i]`` holds the ``(k, coeff, j)`` terms of the joined policy of
+    checkpoints ``< m`` at m's trusted state i, where j indexes checkpoint k's
+    trusted set. Nothing here depends on actor weights.
+    """
+
+    def __init__(self, checkpoints: Sequence[CheckpointPolicy], omega: float):
+        self.omega = omega
+        self.raw = [c.trusted.raw for c in checkpoints]
+        if any(not raw for raw in self.raw):
+            raise ContractError("joined expansion over an empty trusted set")
+        self.offsets = np.cumsum([0] + [len(raw) for raw in self.raw])
+        self.units_t = np.stack([u for c in checkpoints for u in c.trusted.units],
+                                axis=1) if checkpoints else None
+        self.tables: list[list[list]] = []
+        for m, raw in enumerate(self.raw):
+            step = max(1, _SCAN_CELLS // max(1, int(self.offsets[m])))
+            self.tables.append([row for start in range(0, len(raw), step)
+                                for row in self.expand(raw[start:start + step], m)[1]])
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def state(self, k: int, j: int) -> np.ndarray:
+        """Trusted state j of checkpoint k (1-based), the stored row itself."""
+        return self.raw[k - 1][j]
+
+    def _scan(self, queries: Sequence[np.ndarray], count: int):
+        """Index of the best match in each of the first ``count`` trusted sets
+        (ties break to the lowest index), and whether it activates, per row."""
+        q = np.asarray(queries, dtype=np.float64)
+        norms = np.linalg.norm(q, axis=1)
+        if not norms.all():
+            raise ContractError("query state must be nonzero")
+        q = q / norms[:, None]
+        cols = np.flatnonzero(q.any(axis=0))
+        bounds = self.offsets[:count + 1]
+        sims = q[:, cols] @ self.units_t[cols, :bounds[-1]]
+        best = np.stack([sims[:, a:b].argmax(axis=1) for a, b in zip(bounds, bounds[1:])],
+                        axis=1)
+        return best, np.maximum.reduceat(sims, bounds[:-1], axis=1) > self.omega
+
+    def expand(self, queries: Sequence[np.ndarray], count: int):
+        """Activation bitmask ``(N, count)`` of the first ``count`` checkpoints
+        at N query states and, per row, the ``(k, coeff, j)`` terms of their
+        joined policy."""
+        if count == 0:
+            return np.zeros((len(queries), 0), dtype=bool), [[] for _ in queries]
+        best, bitmask = self._scan(queries, count)
+        weights = hierarchical_weights(bitmask)
+        terms = []
+        for bits, idx, w_row in zip(bitmask.tolist(), best.tolist(), weights.tolist()):
+            row = []
+            for m, (on, w, i) in enumerate(zip(bits, w_row, idx)):
+                if on:
+                    row.append((m + 1, w, i))
+                    row.extend((k, w * coeff, j) for k, coeff, j in self.tables[m][i])
+            terms.append(row)
+        return bitmask, terms
+
+
+def expand_joined(orchestra: Orchestra, state: np.ndarray, omega: float):
+    """Activation bitmask plus flattened ``(k, coeff, state)`` checkpoint
+    terms for one state."""
+    index = JoinedIndex(orchestra.checkpoints, omega)
+    bitmask, terms = index.expand(np.asarray(state)[None, :], len(index))
+    return (ActivationVector(bitmask[0]),
+            [(k, coeff, index.state(k, j)) for k, coeff, j in terms[0]])
 
 
 class JoinedSource(ActionSource):
@@ -197,29 +252,39 @@ class JoinedSource(ActionSource):
         self.learner = learner
         self.orchestra = orchestra
         self.cfg = cfg
+        self._index: Optional[JoinedIndex] = None
+
+    def _current_index(self) -> JoinedIndex:
+        """The index of the orchestra as it is now; rebuilt when it grew."""
+        omega = self.cfg.min_similarity_score
+        index = self._index
+        if index is None or len(index) != len(self.orchestra) or index.omega != omega:
+            self._index = index = JoinedIndex(self.orchestra.checkpoints, omega)
+        return index
 
     def logits_and_aux(self, obs_batch: np.ndarray):
         """Learner logits plus every checkpoint term of the joined policy,
-        each checkpoint evaluated once per distinct query state."""
+        each checkpoint evaluated once per distinct trusted state."""
         learner_logits = self.learner.forward_np(obs_batch)
-        aux = []
         logits = learner_logits.copy()
-        memo: dict = {}
-        eval_memo: dict = {}
-        for i, obs in enumerate(obs_batch):
-            act, terms = expand_joined(self.orchestra, obs,
-                                       self.cfg.min_similarity_score, memo)
-            for k, coeff, s in terms:
-                ekey = (k, s.tobytes())
-                out = eval_memo.get(ekey)
+        index = self._current_index()
+        bitmask, terms = index.expand(obs_batch, len(index))
+        outputs: dict = {}
+        aux = []
+        for n, row in enumerate(terms):
+            row_terms = []
+            for k, coeff, j in row:
+                s = index.state(k, j)
+                out = outputs.get((k, j))
                 if out is None:
                     out = self.orchestra.checkpoints[k - 1].actor.forward_np(s[None, :])[0]
-                    eval_memo[ekey] = out
-                logits[i] += coeff * out
+                    outputs[(k, j)] = out
+                logits[n] += coeff * out
+                row_terms.append((k, coeff, s))
             aux.append({
-                "bitmask": act.bitmask,
-                "terms": terms,
-                "learner_logits": learner_logits[i],
+                "bitmask": bitmask[n],
+                "terms": row_terms,
+                "learner_logits": learner_logits[n],
             })
         return logits, aux
 

@@ -223,6 +223,30 @@ def test_resume_after_kill_inside_an_iteration(tmp_path, monkeypatch, stage):
                (tmp_path / "full" / name).read_bytes(), name
 
 
+def test_resume_before_the_first_persist_starts_at_step_zero(tmp_path):
+    run_three_phase(tiny_run_config("hop", seed=6), tmp_path / "full")
+    Trainer(tiny_run_config("hop", seed=6), tmp_path / "part")  # stopped at once
+    assert not (tmp_path / "part" / "state.pkl").exists()
+    resume(tmp_path / "part")
+    for name in ("updates.jsonl", "metrics.csv"):
+        assert (tmp_path / "part" / name).read_bytes() == \
+               (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_resume_refuses_a_changed_run_environment(tmp_path):
+    Trainer(tiny_run_config(), tmp_path).run(max_iterations=1)
+    recorded = json.loads((tmp_path / "run_env.json").read_text())
+    assert recorded == harness.run_environment()
+    assert recorded["numpy"] == np.__version__
+    for key, value in (("numpy", "1.0.0"), ("blas", "otherblas 9.9"),
+                       ("blas_threads", 64)):
+        (tmp_path / "run_env.json").write_text(json.dumps({**recorded, key: value}))
+        with pytest.raises(ConfigError, match=f"{key}: {value!r}"):
+            resume(tmp_path)
+    (tmp_path / "run_env.json").write_text(json.dumps(recorded))
+    assert [r.step for r in resume(tmp_path).rows] == [32, 64, 96]
+
+
 def test_pnn_phase1_evaluation_uses_the_phase1_column(monkeypatch):
     evaluated = []
     original = harness.evaluate_policy

@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -218,6 +219,112 @@ def test_joined_source_matches_single_state_evaluation():
         assert len(aux[i]["bitmask"]) == 3
 
 
+def _oracle_terms(checkpoints, state, omega):
+    """Flattened (k, coeff, state) terms by plain recursion, each coefficient
+    the weight at its level times the coefficient from the level below."""
+    matches = [c.trusted.find_most_similar(state) for c in checkpoints]
+    bits = np.array([sim > omega for _, sim, _ in matches], dtype=bool)
+    w = hierarchical_weights(bits)
+    terms = []
+    for m in np.flatnonzero(bits):
+        sstar = matches[m][0]
+        terms.append((m + 1, float(w[m]), sstar))
+        terms += [(k, float(w[m]) * coeff, s)
+                  for k, coeff, s in _oracle_terms(checkpoints[:m], sstar, omega)]
+    return terms
+
+
+def _term_keys(aux):
+    """Per row: bitmask and terms, each state by identity."""
+    return [(a["bitmask"].tolist(), [(k, c, id(s)) for k, c, s in a["terms"]])
+            for a in aux]
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 6])
+def test_batched_expansion_matches_one_row_calls_and_the_oracle(m):
+    rng = np.random.default_rng(80 + m)
+    states = _level_states(rng)
+    orch = _random_orchestra(rng, m, dim=OBS_DIM, states_per_ckpt=10,
+                             out=N_ACTIONS, states=states)
+    # Zero learner: a BLAS may round a matmul row differently by batch size,
+    # so only the orchestra's part of the logits can be compared bit for bit.
+    learner = Mlp([OBS_DIM, 8, N_ACTIONS], rng)
+    for p in learner.parameters:
+        p.data[...] = 0.0
+    omega = 0.98
+    elsewhere = _level_states(rng, LevelSpec("dodger", 2))[:4]
+    batch = np.concatenate([states[::2], states[:5], elsewhere])
+    source = JoinedSource(learner, orch, HopConfig(min_similarity_score=omega))
+    logits, aux = source.logits_and_aux(batch)
+    one = [source.logits_and_aux(q[None, :]) for q in batch]
+    assert np.array_equal(logits, np.concatenate([lg for lg, _ in one]))
+    assert _term_keys(aux) == _term_keys([a[0] for _, a in one])
+    for q, a, got in zip(batch, aux, logits):
+        assert len(a["bitmask"]) == m
+        want = _oracle_joined(learner, orch.checkpoints, q, omega)
+        assert np.abs(got - want).max() < 1e-10
+        oracle = _oracle_terms(orch.checkpoints, q, omega)
+        assert [(k, c, id(s)) for k, c, s in a["terms"]] == \
+               [(k, c, id(s)) for k, c, s in oracle]
+    if m:
+        assert any(not a["bitmask"].any() for a in aux)
+        assert any(a["bitmask"].any() for a in aux)
+    if m >= 3:   # some activation recurses into older checkpoints
+        assert any(len(a["terms"]) > a["bitmask"].sum() for a in aux)
+
+
+def test_exact_similarity_tie_breaks_to_the_lowest_index():
+    rng = np.random.default_rng(90)
+    s = rng.random(8) + 0.01
+    ts = TrustedStateSet(8, rng)
+    ts.add_episode([rng.random(8) + 0.01, s, 2.0 * s, rng.random(8) + 0.01], 9.0)
+    assert np.array_equal(ts.units[1], ts.units[2])
+    orch = Orchestra([_ckpt(1, _tiny_actor(rng), ts)])
+    for q in (s, 2.0 * s, 3.0 * s):
+        assert ts.find_most_similar(q)[2] == 1
+        act, terms = expand_joined(orch, q, 0.98)
+        assert act.bitmask.tolist() == [True]
+        assert len(terms) == 1 and terms[0][2] is ts.raw[1]
+    source = JoinedSource(_tiny_actor(rng), orch, HopConfig())
+    _, aux = source.logits_and_aux(np.stack([3.0 * s, s, rng.random(8) + 0.01]))
+    assert aux[0]["terms"][0][2] is ts.raw[1] and aux[1]["terms"][0][2] is ts.raw[1]
+
+
+def test_joined_source_follows_a_growing_orchestra():
+    learner, _, orch, hop_cfg, _ = _hop_setup(3)
+    states = _level_states(np.random.default_rng(1))
+    grown = Orchestra([])
+    source = JoinedSource(learner, grown, hop_cfg)
+    for count in range(4):
+        grown.checkpoints[:] = orch.checkpoints[:count]
+        logits, aux = source.logits_and_aux(states)
+        want, want_aux = JoinedSource(learner, grown, hop_cfg).logits_and_aux(states)
+        assert np.array_equal(logits, want)
+        assert _term_keys(aux) == _term_keys(want_aux)
+        assert all(len(a["bitmask"]) == count for a in aux)
+
+
+def test_routed_gradient_step_keeps_activations_and_terms():
+    learner, critic, orch, hop_cfg, ppo_cfg = _hop_setup(3)
+    buffer = _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg)
+    gae = compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda, norm_adv=True)
+    states = buffer.obs.reshape(-1, OBS_DIM)
+    source = JoinedSource(learner, orch, hop_cfg)
+    _, before = source.logits_and_aux(states)
+    assert any(a["bitmask"].any() for a in before) and hop_cfg.checkpoint_gradients
+    weights = [c.actor.get_arrays() for c in orch.checkpoints]
+    masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
+                         Adam(learner.parameters, 1e-3),
+                         Adam(critic.parameters, 1e-3),
+                         np.random.default_rng(9))
+    assert any(not np.array_equal(a, b) for c, arrs in zip(orch.checkpoints, weights)
+               for a, b in zip(c.actor.get_arrays(), arrs))
+    logits, after = source.logits_and_aux(states)
+    fresh_logits, fresh = JoinedSource(learner, orch, hop_cfg).logits_and_aux(states)
+    assert _term_keys(after) == _term_keys(before) == _term_keys(fresh)
+    assert np.array_equal(logits, fresh_logits)
+
+
 # --- trusted-state bookkeeping --------------------------------------------------
 
 
@@ -282,20 +389,25 @@ def test_checkpoint_harvests_unit_states_from_passing_episodes():
 # --- masked gradient routing -----------------------------------------------------
 
 
+def _level_states(rng, spec=LevelSpec("runner", 1)):
+    """Observations of one random-action episode."""
+    env = EnvInstance(spec, max_ep_length=40)
+    states = [env.observation()]
+    while not env.done:
+        env.step(int(rng.integers(0, 4)))
+        if not env.done:
+            states.append(env.observation())
+    return np.stack(states)
+
+
 def _hop_setup(m_ckpts, seed=50, omega=0.6):
     rng = np.random.default_rng(seed)
     learner = Mlp([OBS_DIM, 8, N_ACTIONS], rng)
     critic = Mlp([OBS_DIM, 8, 1], rng)
     # trusted sets drawn from genuine level observations so the similarity
     # scan actually activates during the rollout
-    env = EnvInstance(LevelSpec("runner", 1), max_ep_length=40)
-    states = [env.observation()]
-    while not env.done:
-        env.step(int(rng.integers(0, 4)))
-        if not env.done:
-            states.append(env.observation())
     orch = _random_orchestra(rng, m_ckpts, dim=OBS_DIM, states_per_ckpt=10,
-                             out=N_ACTIONS, states=np.stack(states))
+                             out=N_ACTIONS, states=_level_states(rng))
     for c in orch.checkpoints:
         c.opt = Adam(c.actor.parameters, 1e-3)
     hop_cfg = HopConfig(min_similarity_score=omega)
@@ -457,3 +569,12 @@ def test_checkpoint_bundle_round_trip(tmp_path):
     a = ckpt.trusted.find_most_similar(q[0])
     b = loaded.trusted.find_most_similar(q[0])
     assert a[1] == b[1] and a[2] == b[2]
+
+
+def test_pickled_trusted_set_leaves_out_its_matrix():
+    rng = np.random.default_rng(71)
+    ts, _ = _filled_set(rng, 30, dim=OBS_DIM)
+    matrix = ts.matrix
+    back = pickle.loads(pickle.dumps(ts))
+    assert back._matrix is None and ts._matrix is matrix
+    assert np.array_equal(back.matrix, matrix)
