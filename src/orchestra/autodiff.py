@@ -2,7 +2,7 @@
 
 Covers exactly what small MLP policy/value networks and a clipped-surrogate
 loss need: matmul, broadcasting add/sub/mul, tanh, exp/log, square,
-reductions, elementwise min/max, clipping, row gather and row scatter-add.
+reductions, elementwise min/max, clipping, row gathers and row scatter-add.
 Graphs are built eagerly per forward pass and discarded after backward().
 """
 from __future__ import annotations
@@ -284,6 +284,19 @@ def pick(a: Tensor, idx: np.ndarray) -> Tensor:
             full = np.zeros_like(a.data)
             np.add.at(full, (rows, idx), g)
             a._accumulate(full)
+
+    return _node(data, (a,), backward)
+
+
+def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """Rows ``a[rows]`` of a 2-D tensor; rows must be distinct."""
+    data = a.data[rows]
+
+    def backward(g):
+        if a.requires_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[rows] += g
 
     return _node(data, (a,), backward)
 

@@ -11,6 +11,7 @@ than itself), scaled by a recency-biased weight.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -136,9 +137,27 @@ class CheckpointPolicy:
 @dataclass
 class Orchestra:
     checkpoints: list[CheckpointPolicy] = field(default_factory=list)
+    _index: Optional["JoinedIndex"] = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __len__(self) -> int:
         return len(self.checkpoints)
+
+    def __getstate__(self):
+        # the index is a cache of the trusted sets; it is rebuilt on first use
+        return {**self.__dict__, "_index": None}
+
+    def joined_index(self, omega: float) -> "JoinedIndex":
+        """The joined index of the checkpoints as they are now. Checkpoints
+        appended since the last call are added to it; any other change to
+        the list, or another omega, rebuilds it."""
+        index = self._index
+        if (index is None or index.omega != omega or len(index) > len(self)
+                or any(map(operator.is_not, index.checkpoints, self.checkpoints))):
+            index = self._index = JoinedIndex([], omega)
+        if len(index) < len(self.checkpoints):
+            index.extend(self.checkpoints)
+        return index
 
 
 @dataclass
@@ -178,25 +197,42 @@ class JoinedIndex:
     ``D x S`` matrix, checkpoint m owning columns ``offsets[m]:offsets[m+1]``.
     ``tables[m][i]`` holds the ``(k, coeff, j)`` terms of the joined policy of
     checkpoints ``< m`` at m's trusted state i, where j indexes checkpoint k's
-    trusted set. Nothing here depends on actor weights.
+    trusted set. Nothing here depends on actor weights, and nothing about
+    checkpoint m on checkpoints after it, so appending checkpoints extends
+    the index.
     """
 
     def __init__(self, checkpoints: Sequence[CheckpointPolicy], omega: float):
         self.omega = omega
-        self.raw = [c.trusted.raw for c in checkpoints]
-        if any(not raw for raw in self.raw):
-            raise ContractError("joined expansion over an empty trusted set")
-        self.offsets = np.cumsum([0] + [len(raw) for raw in self.raw])
-        self.units_t = np.stack([u for c in checkpoints for u in c.trusted.units],
-                                axis=1) if checkpoints else None
+        self.checkpoints: list[CheckpointPolicy] = []
+        self.raw: list[list[np.ndarray]] = []
+        self.offsets = np.zeros(1, dtype=np.int64)
+        self.units_t: Optional[np.ndarray] = None
         self.tables: list[list[list]] = []
-        for m, raw in enumerate(self.raw):
-            step = max(1, _SCAN_CELLS // max(1, int(self.offsets[m])))
-            self.tables.append([row for start in range(0, len(raw), step)
-                                for row in self.expand(raw[start:start + step], m)[1]])
+        self.extend(checkpoints)
 
     def __len__(self) -> int:
         return len(self.raw)
+
+    def extend(self, checkpoints: Sequence[CheckpointPolicy]):
+        """Index the checkpoints after the ones indexed so far."""
+        new = checkpoints[len(self):]
+        if any(not c.trusted.raw for c in new):
+            raise ContractError("joined expansion over an empty trusted set")
+        if not new:
+            return
+        start = len(self)
+        self.checkpoints += new
+        self.raw += [c.trusted.raw for c in new]
+        self.offsets = np.cumsum([0] + [len(raw) for raw in self.raw])
+        units = np.stack([u for c in new for u in c.trusted.units], axis=1)
+        self.units_t = units if self.units_t is None else \
+            np.concatenate([self.units_t, units], axis=1)
+        for m in range(start, len(self)):
+            raw = self.raw[m]
+            step = max(1, _SCAN_CELLS // max(1, int(self.offsets[m])))
+            self.tables.append([row for s in range(0, len(raw), step)
+                                for row in self.expand(raw[s:s + step], m)[1]])
 
     def state(self, k: int, j: int) -> np.ndarray:
         """Trusted state j of checkpoint k (1-based), the stored row itself."""
@@ -239,7 +275,7 @@ class JoinedIndex:
 def expand_joined(orchestra: Orchestra, state: np.ndarray, omega: float):
     """Activation bitmask plus flattened ``(k, coeff, state)`` checkpoint
     terms for one state."""
-    index = JoinedIndex(orchestra.checkpoints, omega)
+    index = orchestra.joined_index(omega)
     bitmask, terms = index.expand(np.asarray(state)[None, :], len(index))
     return (ActivationVector(bitmask[0]),
             [(k, coeff, index.state(k, j)) for k, coeff, j in terms[0]])
@@ -252,22 +288,13 @@ class JoinedSource(ActionSource):
         self.learner = learner
         self.orchestra = orchestra
         self.cfg = cfg
-        self._index: Optional[JoinedIndex] = None
-
-    def _current_index(self) -> JoinedIndex:
-        """The index of the orchestra as it is now; rebuilt when it grew."""
-        omega = self.cfg.min_similarity_score
-        index = self._index
-        if index is None or len(index) != len(self.orchestra) or index.omega != omega:
-            self._index = index = JoinedIndex(self.orchestra.checkpoints, omega)
-        return index
 
     def logits_and_aux(self, obs_batch: np.ndarray):
         """Learner logits plus every checkpoint term of the joined policy,
         each checkpoint evaluated once per distinct trusted state."""
         learner_logits = self.learner.forward_np(obs_batch)
         logits = learner_logits.copy()
-        index = self._current_index()
+        index = self.orchestra.joined_index(self.cfg.min_similarity_score)
         bitmask, terms = index.expand(obs_batch, len(index))
         outputs: dict = {}
         aux = []

@@ -8,6 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
 
@@ -28,6 +29,11 @@ def init_mlp_params(
         b = np.zeros(fan_out)
         params.append((w, b))
     return params
+
+
+def _set_columns(x: np.ndarray) -> np.ndarray:
+    """Indices of the columns that are nonzero in some row of x."""
+    return np.flatnonzero(x.any(axis=0))
 
 
 class Mlp:
@@ -59,7 +65,11 @@ class Mlp:
             )
 
     def forward(self, x, return_hidden: bool = False):
-        """Graph-building forward. Accepts a Tensor or ndarray of shape (B, in)."""
+        """Graph-building forward. Accepts a Tensor or ndarray of shape (B, in).
+
+        A constant input (an ndarray, or a Tensor off the tape) enters the
+        first layer through the columns it sets only; see ``forward_np``.
+        """
         h = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(x))
         self._check_input(h.data)
         last_hidden = None
@@ -70,7 +80,11 @@ class Mlp:
                     f"layer {i} expects input width {w.data.shape[0]}, "
                     f"got {h.data.shape[-1]}"
                 )
-            h = h @ w + b
+            if i == 0 and not h.requires_grad:
+                cols = _set_columns(h.data)
+                h = Tensor(h.data[:, cols]) @ ad.take_rows(w, cols) + b
+            else:
+                h = h @ w + b
             if i < n - 1:
                 h = h.tanh()
                 last_hidden = h
@@ -79,13 +93,23 @@ class Mlp:
         return h
 
     def forward_np(self, x: np.ndarray, return_hidden: bool = False):
-        """Raw-numpy forward without the tape; bit-identical to forward()."""
+        """Raw-numpy forward without the tape; bit-identical to forward().
+
+        The first layer multiplies only the input columns the batch sets,
+        ``x[:, cols] @ W0[cols]``: MiniProc observations set about 21 of 405
+        cells. Skipping the zero terms changes the rounding of the sum, so a
+        row's output depends, by rounding, on the other rows of its batch.
+        """
         h = np.atleast_2d(np.asarray(x, dtype=np.float64))
         self._check_input(h)
         last_hidden = None
         n = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data + b.data
+            if i == 0:
+                cols = _set_columns(h)
+                h = h[:, cols] @ w.data[cols] + b.data
+            else:
+                h = h @ w.data + b.data
             if i < n - 1:
                 h = np.tanh(h)
                 last_hidden = h

@@ -246,12 +246,17 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
                 )
             params = actor.parameters + critic.parameters + list(extra_params) + list(v_extra)
             ad.zero_grads(params)
+            for opt in extra_opts:
+                ad.zero_grads(opt.params)
             ad.backward(loss)
             gn = clip_grad_norm(params, cfg.max_grad_norm)
             actor_opt.step()
             critic_opt.step()
+            # an optimizer whose parameters are off this minibatch's graph
+            # (a checkpoint with no routed term) keeps its state
             for opt in extra_opts:
-                opt.step()
+                if any(p.grad is not None for p in opt.params):
+                    opt.step()
 
             with np.errstate(all="ignore"):
                 kl = float((oldlogp_flat[idx] - newlogp.data).mean())

@@ -124,3 +124,44 @@ def test_forward_deterministic(rng):
     b = net.forward_np(x)
     assert np.array_equal(a, b)
     assert np.array_equal(a, net.forward(Tensor(x)).data)
+
+
+def test_take_rows_gradient_matches_finite_differences(rng):
+    a = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    rows = np.array([0, 2, 5])
+    c = rng.normal(size=(3, 4))
+
+    def compute():
+        return (ad.take_rows(a, rows).tanh() * Tensor(c)).sum()
+
+    assert np.array_equal(ad.take_rows(a, rows).data, a.data[rows])
+    ad.backward(compute())
+    base = a.data.copy()
+    g = np.zeros_like(base)
+    h = 1e-6
+    for ix in np.ndindex(base.shape):
+        a.data = base.copy(); a.data[ix] += h; lp = float(compute().data)
+        a.data = base.copy(); a.data[ix] -= h; lm = float(compute().data)
+        g[ix] = (lp - lm) / (2 * h)
+    a.data = base
+    assert np.abs(a.grad - g).max() < 1e-6
+    assert not a.grad[[1, 3, 4]].any()
+
+
+def test_sparse_first_layer_gradient_equals_the_dense_product():
+    rng = np.random.default_rng(7)
+    net = Mlp([40, 8, 3], rng)
+    x = (rng.random((64, 40)) < 0.1).astype(np.float64)
+    x[:, [3, 17, 29]] = 0.0                      # cells the batch never sets
+    y = rng.normal(size=(64, 3))
+    ad.backward((net.forward(Tensor(x)) - Tensor(y)).square().mean())
+    # the gradient g reaching the first layer's pre-activation, from the same
+    # graph with that pre-activation as a leaf
+    cols = np.flatnonzero(x.any(axis=0))
+    w0, w1 = net.weights[0].data, net.weights[1].data
+    z = Tensor(x[:, cols] @ w0[cols] + net.biases[0].data, requires_grad=True)
+    ad.backward((z.tanh() @ Tensor(w1) + Tensor(net.biases[1].data)
+                 - Tensor(y)).square().mean())
+    dense = x.T @ z.grad
+    assert not net.weights[0].grad[[3, 17, 29]].any()
+    assert np.array_equal(net.weights[0].grad, dense)

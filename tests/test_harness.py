@@ -223,6 +223,25 @@ def test_resume_after_kill_inside_an_iteration(tmp_path, monkeypatch, stage):
                (tmp_path / "full" / name).read_bytes(), name
 
 
+def test_resume_with_checkpoint_gradients_is_bit_identical(tmp_path):
+    # four minibatches per update, so a checkpoint is often inactive in one
+    # after a minibatch that routed into it; pickling drops gradients
+    def config():
+        cfg = tiny_run_config("hop", seed=3, total_timesteps=192, report_epoch=64,
+                              ppo=PpoConfig(num_steps=8, num_envs=4,
+                                            num_minibatches=4, update_epochs=2))
+        cfg.hop.reward_limit = -100.0
+        cfg.hop.checkpoint_gradients = True
+        return cfg
+
+    run_three_phase(config(), tmp_path / "full")
+    Trainer(config(), tmp_path / "part").run(max_iterations=3)
+    resume(tmp_path / "part")
+    for name in ("updates.jsonl", "metrics.csv"):
+        assert (tmp_path / "part" / name).read_bytes() == \
+               (tmp_path / "full" / name).read_bytes(), name
+
+
 def test_resume_before_the_first_persist_starts_at_step_zero(tmp_path):
     run_three_phase(tiny_run_config("hop", seed=6), tmp_path / "full")
     Trainer(tiny_run_config("hop", seed=6), tmp_path / "part")  # stopped at once

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from orchestra import autodiff as ad
 from orchestra.envs import EnvInstance, LevelSpec, N_ACTIONS, OBS_DIM
 from orchestra.errors import ContractError
-from orchestra.hop import (CheckpointPolicy, HopConfig, JoinedSource,
-                           Orchestra, TrustedStateSet, checkpoint_now,
+from orchestra.hop import (CheckpointPolicy, HopConfig, JoinedIndex,
+                           JoinedSource, Orchestra, TrustedStateSet, checkpoint_now,
                            cosine_similarity, expand_joined,
                            hierarchical_weights, load_checkpoint,
                            masked_policy_update, save_checkpoint)
@@ -304,6 +304,40 @@ def test_joined_source_follows_a_growing_orchestra():
         assert all(len(a["bitmask"]) == count for a in aux)
 
 
+def _same_index(a, b):
+    assert len(a) == len(b) and a.omega == b.omega
+    assert np.array_equal(a.offsets, b.offsets)
+    assert np.array_equal(a.units_t, b.units_t)
+    assert a.tables == b.tables
+    assert all(x is y for x, y in zip(a.raw, b.raw))
+
+
+def test_orchestra_extends_its_index_as_checkpoints_are_appended():
+    _, _, full, hop_cfg, _ = _hop_setup(4)
+    omega = hop_cfg.min_similarity_score
+    orch = Orchestra([])
+    index = orch.joined_index(omega)
+    for count in range(1, 5):
+        orch.checkpoints.append(full.checkpoints[count - 1])
+        assert orch.joined_index(omega) is index       # extended, not rebuilt
+        _same_index(index, JoinedIndex(orch.checkpoints, omega))
+    # anything but an append rebuilds: a replaced or dropped checkpoint,
+    # another omega
+    ckpt = orch.checkpoints[1]
+    orch.checkpoints[1] = CheckpointPolicy(ckpt.index, ckpt.actor,
+                                           orch.checkpoints[0].trusted, 0)
+    rebuilt = orch.joined_index(omega)
+    assert rebuilt is not index
+    _same_index(rebuilt, JoinedIndex(orch.checkpoints, omega))
+    orch.checkpoints.pop()
+    _same_index(orch.joined_index(omega), JoinedIndex(orch.checkpoints, omega))
+    assert orch.joined_index(0.9).omega == 0.9
+    # the index is a cache: left out of pickling, rebuilt on first use
+    back = pickle.loads(pickle.dumps(orch))
+    assert back._index is None and orch._index is not None
+    assert len(back.joined_index(0.9)) == 3
+
+
 def test_routed_gradient_step_keeps_activations_and_terms():
     learner, critic, orch, hop_cfg, ppo_cfg = _hop_setup(3)
     buffer = _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg)
@@ -530,6 +564,39 @@ def test_gradient_routing_respects_the_stored_bitmask():
     g2 = [p.grad for p in orch.checkpoints[1].actor.parameters]
     assert any(g is not None and np.abs(g).max() > 0 for g in g1)
     assert all(g is None or np.abs(g).max() == 0 for g in g2)
+
+
+def test_checkpoint_inactive_in_a_minibatch_keeps_its_state():
+    rng = np.random.default_rng(62)
+    learner = Mlp([6, 8, 4], rng)
+    critic = Mlp([6, 8, 1], rng)
+    orch = _random_orchestra(rng, 2, dim=6)
+    hop_cfg = HopConfig(min_similarity_score=0.5)
+    ppo_cfg = PpoConfig(num_steps=4, num_envs=1, num_minibatches=1,
+                        update_epochs=1, target_kl=np.inf)
+    for c in orch.checkpoints:
+        c.opt = Adam(c.actor.parameters, 1e-3)
+    opts = Adam(learner.parameters, 1e-3), Adam(critic.parameters, 1e-3)
+
+    def update(bitmasks):
+        buffer = _crafted_buffer(learner, orch, hop_cfg, bitmasks, rng)
+        gae = GaeOutput(rng.standard_normal((4, 1)), rng.random((4, 1)), False)
+        masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg,
+                             hop_cfg, *opts, np.random.default_rng(1))
+
+    def state(c):
+        return c.actor.get_arrays() + c.opt.m + c.opt.v, c.opt.step_count
+
+    update([[1, 0], [1, 0], [0, 0], [0, 0]])   # routes into checkpoint 1
+    first, second = orch.checkpoints
+    before = [copy.deepcopy(state(c)) for c in orch.checkpoints]
+    update([[0, 1], [0, 0], [0, 1], [0, 0]])   # checkpoint 1 inactive throughout
+    arrays, steps = state(first)
+    assert steps == before[0][1] == 1
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before[0][0]))
+    assert state(second)[1] == 1
+    assert any(not np.array_equal(a, b)
+               for a, b in zip(second.actor.get_arrays(), before[1][0]))
 
 
 def test_bitmask_length_mismatch_is_rejected():

@@ -114,3 +114,45 @@ def test_parameter_blob_round_trip(tmp_path, rng):
     load_mlp_arrays(twin, loaded)
     x = rng.normal(size=(2, 6))
     assert np.array_equal(net.forward_np(x), twin.forward_np(x))
+
+
+# --- sparse first layer ---------------------------------------------------------
+
+
+def _plain_forward(net, x):
+    """Every layer as the dense product ``h @ W + b``."""
+    h = x
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w.data + b.data
+        if i < len(net.weights) - 1:
+            h = np.tanh(h)
+    return h
+
+
+def _binary_batch(rng, rows, width=60, density=0.05):
+    """Binary rows like MiniProc observations; row 0 is all zero."""
+    x = (rng.random((rows, width)) < density).astype(np.float64)
+    x[0] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("rows", [1, 16, 512])
+def test_forward_np_matches_forward_on_binary_batches(rows):
+    rng = np.random.default_rng(rows)
+    net = Mlp([60, 16, 16, 5], rng)
+    empty = np.zeros((rows, 60))
+    for x in (_binary_batch(rng, rows), empty):
+        out, hidden = net.forward_np(x, return_hidden=True)
+        g_out, g_hidden = net.forward(Tensor(x), return_hidden=True)
+        assert np.array_equal(out, g_out.data)
+        assert np.array_equal(hidden, g_hidden.data)
+        assert np.array_equal(out, net.forward(x).data)
+    # a batch that sets no cell multiplies no column: its output is the biases'
+    assert np.array_equal(net.forward_np(empty), _plain_forward(net, empty))
+
+
+def test_dense_input_gives_the_plain_product(rng):
+    net = Mlp([5, 4, 3], rng)
+    x = rng.normal(size=(6, 5))
+    assert np.array_equal(net.forward_np(x), _plain_forward(net, x))
+    assert np.array_equal(net.forward(Tensor(x)).data, _plain_forward(net, x))
