@@ -45,12 +45,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64, copy=True)

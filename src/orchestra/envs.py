@@ -392,17 +392,6 @@ class VecEnv:
         self._cursor += 1
         return EnvInstance(spec, self.max_ep_length)
 
-    def set_levels(self, level_specs: Sequence[LevelSpec]):
-        """Swap the rotation and restart every slot (phase boundary)."""
-        if not level_specs:
-            raise ConfigError("VecEnv needs at least one level")
-        self.level_specs = list(level_specs)
-        self._cursor = 0
-        self.envs = [self._next_env() for _ in range(self.num_envs)]
-
-    def reset_all(self) -> np.ndarray:
-        return np.stack([e.reset() for e in self.envs])
-
     def observations(self) -> np.ndarray:
         return np.stack([e.observation() for e in self.envs])
 

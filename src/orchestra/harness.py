@@ -13,13 +13,13 @@ import ctypes
 import json
 import os
 import pickle
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_positive
 from .nn import Adam, Mlp
 from .envs import FAMILIES, LevelSpec, N_ACTIONS, OBS_DIM, VecEnv
 from .ppo import (EvalResult, LearnerSource, PpoConfig, collect_rollout,
@@ -96,6 +96,7 @@ class RunConfig:
                 raise ConfigError(f"unknown family {fam!r}")
         self.ppo.validate()
         self.hop.validate()
+        require_positive(self, "report_epoch", "eval_batch_size")
         batch = self.ppo.batch_size
         if self.total_timesteps % 3 != 0 or (self.total_timesteps // 3) % batch != 0:
             raise ConfigError(
@@ -230,8 +231,6 @@ class Trainer:
         if config.algorithm == "pnn":
             self.stack = PnnStack(OBS_DIM, N_ACTIONS, HIDDEN,
                                   config.ppo.learning_rate, init_rng)
-        self.vecenv = VecEnv(self.plan.phases[0].level_specs(),
-                             config.ppo.num_envs, config.max_ep_length)
         self._enter_phase(0)
         if self.out_dir:
             self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -253,7 +252,8 @@ class Trainer:
     def _enter_phase(self, idx: int):
         self.current_phase = idx
         phase = self.plan.phases[idx]
-        self.vecenv.set_levels(phase.level_specs())
+        self.vecenv = VecEnv(phase.level_specs(), self.config.ppo.num_envs,
+                             self.config.max_ep_length)
         if self.stack is not None:
             if phase.task_id() not in self.stack.task_index:
                 self.stack.add_column(phase.task_id())
@@ -533,20 +533,9 @@ def _check_run_environment(out_dir):
 # Keys mirror the experiment-parameter tables verbatim. Unknown keys are
 # rejected so silent typos cannot skew a run.
 
-_PPO_KEYS = {
-    "gamma", "gae_lambda", "clip_coef", "ent_coef", "vf_coef", "norm_adv",
-    "clip_vloss", "target_kl", "update_epochs", "num_minibatches",
-    "num_steps", "num_envs", "max_grad_norm", "anneal_lr", "learning_rate",
-}
-_HOP_KEYS = {
-    "min_similarity_score", "reward_limit", "checkpoint_interval",
-    "trusted_cap", "checkpoint_gradients", "attributes", "eval_episodes",
-}
-_RUN_KEYS = {
-    "algorithm", "experiment", "seed", "total_timesteps", "report_epoch",
-    "eval_batch_size", "max_ep_length", "max_eval_ep_len",
-    "proc_num_levels", "proc_start", "also_eval_phase1",
-}
+_PPO_KEYS = {f.name for f in fields(PpoConfig)}
+_HOP_KEYS = {f.name for f in fields(HopConfig)}
+_RUN_KEYS = ({f.name for f in fields(RunConfig)} - {"ppo", "hop", "families"}) | {"experiment"}
 _DERIVED_KEYS = {"batch_size", "minibatch_size"}  # accepted, must be consistent
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, require_positive
 from .nn import Adam, Mlp, load_params, mlp_named_arrays, load_mlp_arrays, save_params
 from .envs import EnvInstance, LevelSpec
 from .ppo import ActionSource, GaeOutput, PpoConfig, RolloutBuffer, UpdateStats, ppo_update
@@ -41,6 +41,7 @@ class HopConfig:
             raise ConfigError("min_similarity_score must be in (0, 1)")
         if self.attributes not in ("joined", "learner"):
             raise ConfigError("attributes must be 'joined' or 'learner'")
+        require_positive(self, "checkpoint_interval", "trusted_cap", "eval_episodes")
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -53,12 +54,14 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class TrustedStateSet:
-    """Unit-normalized state matrix with exact dedup and a reservoir cap.
+    """Stored observations with exact dedup and a reservoir cap.
 
-    ``matrix`` holds the unit vectors used by the similarity scan; ``raw``
-    keeps the original observations, which are what a checkpoint's actor is
-    actually fed. ``episode_returns`` records, per stored state, the return
+    ``raw`` keeps each state once, as observed: it is what a checkpoint's
+    actor is fed, and ``matrix`` derives the unit vectors of the similarity
+    scan from it. ``episode_returns`` records, per stored state, the return
     of the episode it was harvested from (audit trail for the reward gate).
+    ``_seen`` holds every state ever ingested, evicted ones included, so the
+    reservoir samples a deduplicated stream.
     """
 
     def __init__(self, cap: int, rng: np.random.Generator):
@@ -67,22 +70,15 @@ class TrustedStateSet:
         self._seen: set[bytes] = set()
         self._ingested = 0
         self.raw: list[np.ndarray] = []
-        self.units: list[np.ndarray] = []
         self.episode_returns: list[float] = []
-        self._matrix: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return len(self.units)
+        return len(self.raw)
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None or self._matrix.shape[0] != len(self.units):
-            self._matrix = np.stack(self.units) if self.units else np.zeros((0, 1))
-        return self._matrix
-
-    def __getstate__(self):
-        # the matrix is a cache of ``units``; it is rebuilt on first use
-        return {**self.__dict__, "_matrix": None}
+        """Unit vectors of the stored states, one row each."""
+        return np.stack([s / np.linalg.norm(s) for s in self.raw])
 
     def add_episode(self, states: Sequence[np.ndarray], episode_return: float):
         for s in states:
@@ -91,30 +87,25 @@ class TrustedStateSet:
             if key in self._seen:
                 continue
             self._seen.add(key)
-            norm = np.linalg.norm(s)
-            if norm == 0.0:
+            if np.linalg.norm(s) == 0.0:
                 raise ContractError("trusted state must be nonzero")
-            unit = s / norm
             # reservoir sampling (algorithm R) over the deduplicated stream
-            if len(self.units) < self.cap:
+            if len(self.raw) < self.cap:
                 self.raw.append(s)
-                self.units.append(unit)
                 self.episode_returns.append(episode_return)
             else:
                 j = int(self._rng.integers(0, self._ingested + 1))
                 if j < self.cap:
                     self.raw[j] = s
-                    self.units[j] = unit
                     self.episode_returns[j] = episode_return
             self._ingested += 1
-            self._matrix = None
 
     def find_most_similar(self, state: np.ndarray) -> tuple[np.ndarray, float, int]:
         """Best stored match by cosine similarity; ties break to the lowest index.
 
         Returns (raw stored state, similarity, index).
         """
-        if not self.units:
+        if not self.raw:
             raise ContractError("find_most_similar on an empty trusted set")
         q = np.asarray(state, dtype=np.float64)
         norm = np.linalg.norm(q)
@@ -205,14 +196,13 @@ class JoinedIndex:
     def __init__(self, checkpoints: Sequence[CheckpointPolicy], omega: float):
         self.omega = omega
         self.checkpoints: list[CheckpointPolicy] = []
-        self.raw: list[list[np.ndarray]] = []
         self.offsets = np.zeros(1, dtype=np.int64)
         self.units_t: Optional[np.ndarray] = None
         self.tables: list[list[list]] = []
         self.extend(checkpoints)
 
     def __len__(self) -> int:
-        return len(self.raw)
+        return len(self.checkpoints)
 
     def extend(self, checkpoints: Sequence[CheckpointPolicy]):
         """Index the checkpoints after the ones indexed so far."""
@@ -223,20 +213,19 @@ class JoinedIndex:
             return
         start = len(self)
         self.checkpoints += new
-        self.raw += [c.trusted.raw for c in new]
-        self.offsets = np.cumsum([0] + [len(raw) for raw in self.raw])
-        units = np.stack([u for c in new for u in c.trusted.units], axis=1)
+        self.offsets = np.cumsum([0] + [len(c.trusted) for c in self.checkpoints])
+        units = np.ascontiguousarray(np.concatenate([c.trusted.matrix for c in new]).T)
         self.units_t = units if self.units_t is None else \
             np.concatenate([self.units_t, units], axis=1)
         for m in range(start, len(self)):
-            raw = self.raw[m]
+            raw = self.checkpoints[m].trusted.raw
             step = max(1, _SCAN_CELLS // max(1, int(self.offsets[m])))
             self.tables.append([row for s in range(0, len(raw), step)
                                 for row in self.expand(raw[s:s + step], m)[1]])
 
     def state(self, k: int, j: int) -> np.ndarray:
         """Trusted state j of checkpoint k (1-based), the stored row itself."""
-        return self.raw[k - 1][j]
+        return self.checkpoints[k - 1].trusted.raw[j]
 
     def _scan(self, queries: Sequence[np.ndarray], count: int):
         """Index of the best match in each of the first ``count`` trusted sets
@@ -437,7 +426,7 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
 
 
 def save_checkpoint(ckpt: CheckpointPolicy, directory, hop_cfg: HopConfig):
-    """Directory bundle: manifest + actor blob + trusted matrices."""
+    """Directory bundle: manifest + actor blob + trusted states."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -452,13 +441,14 @@ def save_checkpoint(ckpt: CheckpointPolicy, directory, hop_cfg: HopConfig):
         json.dump(manifest, f, indent=1)
     save_params(directory / "actor.blob", mlp_named_arrays(ckpt.actor))
     save_params(directory / "trusted.blob", {
-        "units": ckpt.trusted.matrix,
         "raw": np.stack(ckpt.trusted.raw),
         "episode_returns": np.asarray(ckpt.trusted.episode_returns),
     })
 
 
 def load_checkpoint(directory, rng: Optional[np.random.Generator] = None) -> CheckpointPolicy:
+    """A bundle written by ``save_checkpoint``; a ``units`` entry, which
+    older bundles carry, is ignored."""
     directory = Path(directory)
     with open(directory / "manifest.json") as f:
         manifest = json.load(f)
@@ -467,12 +457,8 @@ def load_checkpoint(directory, rng: Optional[np.random.Generator] = None) -> Che
     blobs = load_params(directory / "trusted.blob")
     trusted = TrustedStateSet(cap=max(len(blobs["raw"]), 1),
                               rng=rng or np.random.default_rng(0))
-    for raw, unit, ret in zip(blobs["raw"], blobs["units"], blobs["episode_returns"]):
-        trusted.raw.append(raw)
-        trusted.units.append(unit)
-        trusted.episode_returns.append(float(ret))
-        trusted._seen.add(raw.tobytes())
-        trusted._ingested += 1
+    for raw, ret in zip(blobs["raw"], blobs["episode_returns"]):
+        trusted.add_episode([raw], float(ret))
     return CheckpointPolicy(
         index=manifest["index"],
         actor=actor,

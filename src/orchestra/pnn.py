@@ -6,15 +6,12 @@ never touched by an update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError
-from .nn import (Adam, Mlp, load_mlp_arrays, load_params, mlp_named_arrays,
-                 save_params)
+from .nn import Adam, Mlp
 from .ppo import (ActionSource, GaeOutput, PpoConfig, RolloutBuffer,
                   UpdateStats, ppo_update)
 
@@ -123,10 +120,6 @@ class PnnStack:
         return (self.net_forward_np(task_id, "actor", obs),
                 self.net_forward_np(task_id, "critic", obs)[:, 0])
 
-    def standalone_forward(self, col_idx: int, obs: np.ndarray) -> np.ndarray:
-        """Column forward ignoring every adapter (the no-forgetting probe)."""
-        return self.columns[col_idx].actor.forward_np(np.atleast_2d(obs))
-
 
 class ColumnSource(ActionSource):
     def __init__(self, stack: PnnStack, task_id: str):
@@ -159,49 +152,3 @@ def pnn_update(stack: PnnStack, task_id: str, buffer: RolloutBuffer,
                       logits_fn=logits_fn, values_fn=values_fn,
                       extra_opts=extra_opts)
 
-
-def save_stack(stack: PnnStack, directory):
-    """Per-column weight blobs, adapter blobs, and a manifest."""
-    import json
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "tasks": [c.task_id for c in stack.columns],
-        "obs_dim": stack.obs_dim,
-        "n_actions": stack.n_actions,
-        "hidden": stack.hidden,
-    }
-    with open(directory / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=1)
-    for i, col in enumerate(stack.columns):
-        named = mlp_named_arrays(col.actor, "actor.")
-        named.update(mlp_named_arrays(col.critic, "critic."))
-        save_params(directory / f"column{i}.blob", named)
-    adapter_arrays = {}
-    for (net, src, dst), adp in stack.adapters.items():
-        adapter_arrays[f"{net}.{src}.{dst}.w"] = adp.weight.data
-        adapter_arrays[f"{net}.{src}.{dst}.b"] = adp.bias.data
-    if adapter_arrays:
-        save_params(directory / "adapters.blob", adapter_arrays)
-
-
-def load_stack(directory, learning_rate: float = 5e-4) -> PnnStack:
-    import json
-
-    directory = Path(directory)
-    with open(directory / "manifest.json") as f:
-        manifest = json.load(f)
-    stack = PnnStack(manifest["obs_dim"], manifest["n_actions"],
-                     manifest["hidden"], learning_rate, np.random.default_rng(0))
-    for i, task in enumerate(manifest["tasks"]):
-        stack.add_column(task)
-        named = load_params(directory / f"column{i}.blob")
-        load_mlp_arrays(stack.columns[i].actor, named, "actor.")
-        load_mlp_arrays(stack.columns[i].critic, named, "critic.")
-    if stack.adapters:
-        named = load_params(directory / "adapters.blob")
-        for (net, src, dst), adp in stack.adapters.items():
-            adp.weight.data = named[f"{net}.{src}.{dst}.w"]
-            adp.bias.data = named[f"{net}.{src}.{dst}.b"]
-    return stack

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, require_positive
 from .nn import Adam, Mlp, clip_grad_norm, sample_categorical_batch
 from .envs import EnvInstance, LevelSpec, VecEnv
 
@@ -51,6 +51,7 @@ class PpoConfig:
         return self.batch_size // self.num_minibatches
 
     def validate(self):
+        require_positive(self, "num_steps", "num_envs", "num_minibatches", "update_epochs")
         if self.batch_size % self.num_minibatches != 0:
             raise ConfigError(
                 f"num_minibatches={self.num_minibatches} does not divide "

@@ -84,6 +84,17 @@ def test_config_validation_rules():
         config_from_flat_dict({"experiment": "runner-climber"})
 
 
+@pytest.mark.parametrize("key", ["report_epoch", "checkpoint_interval", "update_epochs",
+                                 "num_envs", "num_steps", "num_minibatches",
+                                 "eval_batch_size", "eval_episodes", "trusted_cap"])
+def test_config_rejects_counts_below_one(key):
+    flat = config_to_flat_dict(tiny_run_config("hop"))
+    del flat["batch_size"], flat["minibatch_size"]
+    flat[key] = 0
+    with pytest.raises(ConfigError, match=key):
+        config_from_flat_dict(flat)
+
+
 # --- derived metrics --------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from orchestra.hop import (CheckpointPolicy, HopConfig, JoinedIndex,
                            cosine_similarity, expand_joined,
                            hierarchical_weights, load_checkpoint,
                            masked_policy_update, save_checkpoint)
-from orchestra.nn import Adam, Mlp
+from orchestra.nn import Adam, Mlp, save_params
 from orchestra.ppo import (GaeOutput, PpoConfig, RolloutBuffer,
                            collect_rollout, compute_gae, ppo_update)
 
@@ -278,7 +278,7 @@ def test_exact_similarity_tie_breaks_to_the_lowest_index():
     s = rng.random(8) + 0.01
     ts = TrustedStateSet(8, rng)
     ts.add_episode([rng.random(8) + 0.01, s, 2.0 * s, rng.random(8) + 0.01], 9.0)
-    assert np.array_equal(ts.units[1], ts.units[2])
+    assert np.array_equal(ts.matrix[1], ts.matrix[2])
     orch = Orchestra([_ckpt(1, _tiny_actor(rng), ts)])
     for q in (s, 2.0 * s, 3.0 * s):
         assert ts.find_most_similar(q)[2] == 1
@@ -309,7 +309,7 @@ def _same_index(a, b):
     assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.units_t, b.units_t)
     assert a.tables == b.tables
-    assert all(x is y for x, y in zip(a.raw, b.raw))
+    assert all(x is y for x, y in zip(a.checkpoints, b.checkpoints))
 
 
 def test_orchestra_extends_its_index_as_checkpoints_are_appended():
@@ -622,11 +622,18 @@ def test_bitmask_length_mismatch_is_rejected():
 # --- serialization -----------------------------------------------------------------
 
 
-def test_checkpoint_bundle_round_trip(tmp_path):
+@pytest.mark.parametrize("layout", ["raw", "raw+units"])
+def test_checkpoint_bundle_round_trip(tmp_path, layout):
     rng = np.random.default_rng(70)
-    ts, _ = _filled_set(rng, 12, dim=OBS_DIM)
+    ts, states = _filled_set(rng, 12, dim=OBS_DIM)
     ckpt = _ckpt(3, Mlp([OBS_DIM, 8, N_ACTIONS], rng), ts, step=4096)
     save_checkpoint(ckpt, tmp_path / "ckpt", HopConfig())
+    if layout == "raw+units":   # older bundles also stored the unit vectors
+        save_params(tmp_path / "ckpt" / "trusted.blob", {
+            "units": ts.matrix,
+            "raw": np.stack(ts.raw),
+            "episode_returns": np.asarray(ts.episode_returns),
+        })
     loaded = load_checkpoint(tmp_path / "ckpt")
     assert loaded.index == 3 and loaded.created_step == 4096
     q = rng.random((2, OBS_DIM))
@@ -636,12 +643,14 @@ def test_checkpoint_bundle_round_trip(tmp_path):
     a = ckpt.trusted.find_most_similar(q[0])
     b = loaded.trusted.find_most_similar(q[0])
     assert a[1] == b[1] and a[2] == b[2]
+    # the loaded set still deduplicates against what it stores
+    loaded.trusted.add_episode([states[5]], 9.0)
+    assert len(loaded.trusted) == len(ts)
 
 
 def test_pickled_trusted_set_leaves_out_its_matrix():
     rng = np.random.default_rng(71)
     ts, _ = _filled_set(rng, 30, dim=OBS_DIM)
-    matrix = ts.matrix
     back = pickle.loads(pickle.dumps(ts))
-    assert back._matrix is None and ts._matrix is matrix
-    assert np.array_equal(back.matrix, matrix)
+    assert not {"units", "_matrix"} & set(back.__dict__)
+    assert np.array_equal(back.matrix, ts.matrix)

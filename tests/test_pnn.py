@@ -4,7 +4,7 @@ import pytest
 from orchestra.envs import LevelSpec, N_ACTIONS, OBS_DIM, VecEnv
 from orchestra.errors import ConfigError
 from orchestra.nn import Adam, Mlp
-from orchestra.pnn import ColumnSource, PnnStack, load_stack, pnn_update, save_stack
+from orchestra.pnn import ColumnSource, PnnStack, pnn_update
 from orchestra.ppo import GaeOutput, PpoConfig, collect_rollout, compute_gae
 
 
@@ -34,7 +34,7 @@ def test_zero_adapters_match_standalone_column():
     x = np.random.default_rng(1).random((5, OBS_DIM))
     for i, t in enumerate(("a", "b", "c")):
         logits, values = stack.forward_with_adapters(t, x)
-        assert np.array_equal(logits, stack.standalone_forward(i, x))
+        assert np.array_equal(logits, stack.columns[i].actor.forward_np(x))
         assert np.array_equal(values, stack.columns[i].critic.forward_np(x)[:, 0])
 
 
@@ -133,28 +133,9 @@ def test_standalone_forward_is_adapter_free():
     stack.add_column("a")
     stack.add_column("b")
     x = np.random.default_rng(8).random((3, OBS_DIM))
-    plain = stack.standalone_forward(1, x)
+    plain = stack.columns[1].actor.forward_np(x)
     for adp in stack.adapters.values():
         adp.weight.data += 0.5
         adp.bias.data -= 0.25
-    assert np.array_equal(stack.standalone_forward(1, x), plain)
+    assert np.array_equal(stack.columns[1].actor.forward_np(x), plain)
     assert not np.array_equal(stack.forward_with_adapters("b", x)[0], plain)
-
-
-def test_stack_round_trip(tmp_path):
-    cfg = tiny_cfg()
-    stack = make_stack()
-    stack.add_column("a")
-    stack.add_column("b")
-    buffer = _rollout_for(stack, "b", cfg)
-    gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda, norm_adv=True)
-    pnn_update(stack, "b", buffer, gae, cfg, np.random.default_rng(5))
-
-    save_stack(stack, tmp_path / "stack")
-    loaded = load_stack(tmp_path / "stack")
-    assert [c.task_id for c in loaded.columns] == ["a", "b"]
-    x = np.random.default_rng(9).random((4, OBS_DIM))
-    for t in ("a", "b"):
-        la, va = stack.forward_with_adapters(t, x)
-        lb, vb = loaded.forward_with_adapters(t, x)
-        assert np.array_equal(la, lb) and np.array_equal(va, vb)
