@@ -8,12 +8,15 @@ peak evaluation return is re-attained) and the final evaluation return.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import ctypes
 import json
 import os
 import pickle
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -22,8 +25,8 @@ import numpy as np
 from .errors import ConfigError, require_positive
 from .nn import Adam, Mlp
 from .envs import FAMILIES, LevelSpec, N_ACTIONS, OBS_DIM, VecEnv
-from .ppo import (EvalResult, LearnerSource, PpoConfig, collect_rollout,
-                  compute_gae, evaluate_policy, ppo_update)
+from .ppo import (LearnerSource, PpoConfig, collect_rollout, compute_gae,
+                  evaluate_policy, ppo_update)
 from .hop import HopConfig, JoinedSource, Orchestra, checkpoint_now, masked_policy_update, save_checkpoint
 from .pnn import ColumnSource, PnnStack, pnn_update
 
@@ -62,8 +65,9 @@ class PhasePlan:
             raise ConfigError("phases 1 and 3 must share family and level set")
 
     @property
-    def total_steps(self) -> int:
-        return sum(p.steps for p in self.phases)
+    def boundaries(self) -> list[int]:
+        """Cumulative step at which each phase ends."""
+        return list(accumulate(p.steps for p in self.phases))
 
 
 @dataclass
@@ -242,12 +246,8 @@ class Trainer:
     # --- phases ---------------------------------------------------------
 
     def _phase_of(self, step: int) -> int:
-        acc = 0
-        for i, p in enumerate(self.plan.phases):
-            acc += p.steps
-            if step < acc:
-                return i
-        return len(self.plan.phases) - 1
+        return min(bisect.bisect_right(self.plan.boundaries, step),
+                   len(self.plan.phases) - 1)
 
     def _enter_phase(self, idx: int):
         self.current_phase = idx
@@ -270,7 +270,7 @@ class Trainer:
 
     @property
     def total_iterations(self) -> int:
-        return self.plan.total_steps // self.config.ppo.batch_size
+        return self.plan.boundaries[-1] // self.config.ppo.batch_size
 
     def run(self, max_iterations: Optional[int] = None) -> MetricsReport:
         cfg = self.config
@@ -283,7 +283,7 @@ class Trainer:
             if phase_idx != self.current_phase:
                 self._enter_phase(phase_idx)
             source = self._source(self.current_phase)
-            buffer = collect_rollout(source, self.vecenv, self._critic_for_rollout(),
+            buffer = collect_rollout(source, self.vecenv, self._value_fn(),
                                      cfg.ppo, self.train_rng)
             gae = compute_gae(buffer, cfg.ppo.gamma, cfg.ppo.gae_lambda,
                               norm_adv=cfg.ppo.norm_adv)
@@ -300,18 +300,12 @@ class Trainer:
             self._persist()
         return self.report()
 
-    def _critic_for_rollout(self) -> Mlp:
+    def _value_fn(self):
         if self.stack is not None:
             # the value source is the active column with its adapters
-            phase = self.plan.phases[self.current_phase]
-            stack, task = self.stack, phase.task_id()
-
-            class _CriticView:
-                def forward_np(self, x):
-                    return stack.net_forward_np(task, "critic", x)
-
-            return _CriticView()
-        return self.critic
+            task = self.plan.phases[self.current_phase].task_id()
+            return partial(self.stack.net_forward_np, task, "critic")
+        return self.critic.forward_np
 
     def _update(self, buffer, gae):
         cfg = self.config
@@ -335,13 +329,16 @@ class Trainer:
                 if a is not None:
                     self.act_count_accum.append(float(a["bitmask"].sum()))
 
+    def _event_rng(self, tag: int) -> np.random.Generator:
+        """The generator of one evaluation or checkpoint event at this step."""
+        return np.random.default_rng(
+            np.random.SeedSequence([self.config.seed, tag, self.global_step]))
+
     def _checkpoint(self):
         cfg = self.config
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, 0xC4EC, self.global_step]))
         phase = self.plan.phases[self.current_phase]
         ckpt = checkpoint_now(self.actor, self.orchestra, phase.level_specs(),
-                              cfg.hop, cfg.max_eval_ep_len, rng,
+                              cfg.hop, cfg.max_eval_ep_len, self._event_rng(0xC4EC),
                               self.global_step, cfg.ppo.learning_rate)
         if ckpt is not None and self.out_dir:
             save_checkpoint(ckpt, self.out_dir / f"checkpoint_{ckpt.index:03d}",
@@ -349,19 +346,17 @@ class Trainer:
 
     def _evaluate(self):
         cfg = self.config
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, 0xE7A1, self.global_step]))
         phase_idx = self._phase_of(self.global_step - 1)
         phase = self.plan.phases[phase_idx]
         result = evaluate_policy(self._source(phase_idx), phase.level_specs(),
-                                 cfg.eval_batch_size, cfg.max_eval_ep_len, rng)
+                                 cfg.eval_batch_size, cfg.max_eval_ep_len,
+                                 self._event_rng(0xE7A1))
         phase1_mean = None
         if cfg.also_eval_phase1 and phase_idx != 0:
-            rng1 = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, 0xE7A2, self.global_step]))
             phase1_mean = evaluate_policy(
                 self._source(0), self.plan.phases[0].level_specs(),
-                cfg.eval_batch_size, cfg.max_eval_ep_len, rng1).mean_return
+                cfg.eval_batch_size, cfg.max_eval_ep_len,
+                self._event_rng(0xE7A2)).mean_return
         act_mean = float(np.mean(self.act_count_accum)) if self.act_count_accum else 0.0
         self.act_count_accum = []
         self.rows.append(MetricsRow(
@@ -383,41 +378,22 @@ class Trainer:
     # --- persistence ----------------------------------------------------
 
     def _persist(self):
+        """Write every attribute to state.pkl but those that load_trainer
+        rebuilds from config.json and the run directory."""
         if not self.out_dir:
             return
-        state = {
-            "global_step": self.global_step,
-            "iteration": self.iteration,
-            "current_phase": self.current_phase,
-            "rows": self.rows,
-            "act_count_accum": self.act_count_accum,
-            "train_rng": self.train_rng,
-            "actor": self.actor, "critic": self.critic,
-            "actor_opt": self.actor_opt, "critic_opt": self.critic_opt,
-            "orchestra": self.orchestra,
-            "stack": self.stack,
-            "vecenv": self.vecenv,
-        }
+        state = {k: v for k, v in vars(self).items() if k not in ("config", "out_dir", "plan")}
         tmp = self.out_dir / "state.pkl.tmp"
         with open(tmp, "wb") as f:
             pickle.dump(state, f)
         os.replace(tmp, self.out_dir / "state.pkl")
 
-    def restore(self, state: dict):
-        for key, value in state.items():
-            setattr(self, key, value)
-
     def report(self) -> MetricsReport:
-        boundaries = []
-        acc = 0
-        for p in self.plan.phases:
-            acc += p.steps
-            boundaries.append(acc)
         return MetricsReport(
             algorithm=self.config.algorithm,
             seed=self.config.seed,
             rows=list(self.rows),
-            phase_steps=boundaries,
+            phase_steps=self.plan.boundaries,
             config_echo=config_to_flat_dict(self.config),
         )
 
@@ -441,7 +417,7 @@ def load_trainer(out_dir) -> Trainer:
     state = out_dir / "state.pkl"
     if state.exists():
         with open(state, "rb") as f:
-            trainer.restore(pickle.load(f))
+            vars(trainer).update(pickle.load(f))
     return trainer
 
 
@@ -544,10 +520,7 @@ def config_from_flat_dict(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     ppo = PpoConfig(**{k: raw[k] for k in _PPO_KEYS if k in raw})
-    hop_kwargs = {k: raw[k] for k in _HOP_KEYS if k in raw}
-    if "checkpoint_interval" not in hop_kwargs:
-        hop_kwargs["checkpoint_interval"] = DESK_CHECKPOINT_INTERVAL
-    hop = HopConfig(**hop_kwargs)
+    hop = replace(RunConfig().hop, **{k: raw[k] for k in _HOP_KEYS if k in raw})
     if "batch_size" in raw and raw["batch_size"] != ppo.batch_size:
         raise ConfigError(
             f"batch_size={raw['batch_size']} inconsistent with "

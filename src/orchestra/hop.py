@@ -10,6 +10,7 @@ than itself), scaled by a recency-biased weight.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import operator
 from dataclasses import dataclass, field
@@ -22,8 +23,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, require_positive
 from .nn import Adam, Mlp, load_params, mlp_named_arrays, load_mlp_arrays, save_params
-from .envs import EnvInstance, LevelSpec
-from .ppo import ActionSource, GaeOutput, PpoConfig, RolloutBuffer, UpdateStats, ppo_update
+from .envs import LevelSpec
+from .ppo import ActionSource, GaeOutput, PpoConfig, RolloutBuffer, UpdateStats, play_episode, ppo_update
 
 
 @dataclass
@@ -53,6 +54,10 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
+def _digest(state_bytes: bytes) -> bytes:
+    return hashlib.blake2b(state_bytes, digest_size=16).digest()
+
+
 class TrustedStateSet:
     """Stored observations with exact dedup and a reservoir cap.
 
@@ -60,8 +65,8 @@ class TrustedStateSet:
     actor is fed, and ``matrix`` derives the unit vectors of the similarity
     scan from it. ``episode_returns`` records, per stored state, the return
     of the episode it was harvested from (audit trail for the reward gate).
-    ``_seen`` holds every state ever ingested, evicted ones included, so the
-    reservoir samples a deduplicated stream.
+    ``_seen`` holds a 16-byte digest of every state ever ingested, evicted
+    ones included, so the reservoir samples a deduplicated stream.
     """
 
     def __init__(self, cap: int, rng: np.random.Generator):
@@ -75,6 +80,14 @@ class TrustedStateSet:
     def __len__(self) -> int:
         return len(self.raw)
 
+    def __setstate__(self, state: dict):
+        # older pickles also carry unit vectors, and key _seen by each state's
+        # full bytes: a stored state's own bytes are then among the keys
+        state = {k: v for k, v in state.items() if k not in ("units", "_matrix")}
+        if state["raw"] and state["raw"][0].tobytes() in state["_seen"]:
+            state["_seen"] = set(map(_digest, state["_seen"]))
+        self.__dict__.update(state)
+
     @property
     def matrix(self) -> np.ndarray:
         """Unit vectors of the stored states, one row each."""
@@ -83,7 +96,7 @@ class TrustedStateSet:
     def add_episode(self, states: Sequence[np.ndarray], episode_return: float):
         for s in states:
             s = np.asarray(s, dtype=np.float64)
-            key = s.tobytes()
+            key = _digest(s.tobytes())
             if key in self._seen:
                 continue
             self._seen.add(key)
@@ -324,20 +337,11 @@ def checkpoint_now(learner: Mlp, orchestra: Orchestra,
     snapshot = learner.clone()
     source = JoinedSource(learner, orchestra, hop_cfg)
     trusted = TrustedStateSet(hop_cfg.trusted_cap, rng)
-    n_success = 0
     for ep in range(hop_cfg.eval_episodes):
-        spec = level_specs[ep % len(level_specs)]
-        env = EnvInstance(spec, max_eval_ep_len)
-        states = []
-        total = 0.0
-        while not env.done:
-            obs = env.observation()
-            states.append(obs)
-            actions, _, _ = source.act(obs[None, :], rng)
-            total += env.step(int(actions[0])).reward
+        states, total, _ = play_episode(source, level_specs[ep % len(level_specs)],
+                                        max_eval_ep_len, rng)
         if total > hop_cfg.reward_limit:
             trusted.add_episode(states, total)
-            n_success += 1
     if len(trusted) == 0:
         return None
     ckpt = CheckpointPolicy(

@@ -9,7 +9,7 @@ verbatim; the update never recomputes them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -132,8 +132,10 @@ class LearnerSource(ActionSource):
         return logits, [None] * obs_batch.shape[0]
 
 
-def collect_rollout(source: ActionSource, vecenv: VecEnv, critic: Mlp,
+def collect_rollout(source: ActionSource, vecenv: VecEnv,
+                    value_fn: Callable[[np.ndarray], np.ndarray],
                     cfg: PpoConfig, rng: np.random.Generator) -> RolloutBuffer:
+    """T steps of every env; ``value_fn`` maps (N, obs_dim) observations to (N, 1)."""
     T, N = cfg.num_steps, vecenv.num_envs
     obs_dim = vecenv.observations().shape[1]
     obs = np.empty((T, N, obs_dim))
@@ -150,12 +152,12 @@ def collect_rollout(source: ActionSource, vecenv: VecEnv, critic: Mlp,
         actions[t] = a
         logprobs[t] = lp
         aux.append(ax)
-        values[t] = critic.forward_np(cur)[:, 0]
+        values[t] = value_fn(cur)[:, 0]
         results = vecenv.vec_step(a)
         rewards[t] = [r.reward for r in results]
         dones[t] = [r.done for r in results]
         cur = np.stack([r.observation for r in results])
-    bootstrap = critic.forward_np(cur)[:, 0]
+    bootstrap = value_fn(cur)[:, 0]
     return RolloutBuffer(obs, actions, rewards, dones, logprobs, values,
                          bootstrap, aux)
 
@@ -232,9 +234,10 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
             if cfg.clip_vloss:
                 v_old = Tensor(val_flat[idx])
                 v_clipped = v_old + ad.clip(v - v_old, -cfg.clip_coef, cfg.clip_coef)
-                v_loss = 0.5 * ad.minimum(
-                    (v - Tensor(ret_flat[idx])).square(),
-                    (v_clipped - Tensor(ret_flat[idx])).square(),
+                # the larger of the two squared errors, as -min(-a, -b)
+                v_loss = -0.5 * ad.minimum(
+                    -(v - Tensor(ret_flat[idx])).square(),
+                    -(v_clipped - Tensor(ret_flat[idx])).square(),
                 ).mean()
             else:
                 v_loss = 0.5 * (v - Tensor(ret_flat[idx])).square().mean()
@@ -289,7 +292,21 @@ class EvalResult:
     mean_return: float
     stderr: float
     returns: list[float]
-    mean_active_checkpoints: float
+
+
+def play_episode(source: ActionSource, spec: LevelSpec, max_len: int,
+                 rng: np.random.Generator) -> tuple[list[np.ndarray], float, int]:
+    """One sampled-action episode on a fresh level, acting one row at a time:
+    the observations it acted on, its cumulative env reward, and its steps."""
+    env = EnvInstance(spec, max_len)
+    states = []
+    total = 0.0
+    while not env.done:
+        obs = env.observation()
+        states.append(obs)
+        actions, _, _ = source.act(obs[None, :], rng)
+        total += env.step(int(actions[0])).reward
+    return states, total, env.episode_steps
 
 
 def evaluate_policy(source: ActionSource, level_specs: Sequence[LevelSpec],
@@ -300,20 +317,10 @@ def evaluate_policy(source: ActionSource, level_specs: Sequence[LevelSpec],
     Per-episode score is cumulative env reward minus 0.01 per step taken.
     """
     returns = []
-    active_counts = []
     for ep in range(episodes):
-        spec = level_specs[ep % len(level_specs)]
-        env = EnvInstance(spec, max_eval_ep_len)
-        total = 0.0
-        while not env.done:
-            obs = env.observation()[None, :]
-            actions, _, aux = source.act(obs, rng)
-            if aux[0] is not None and "bitmask" in aux[0]:
-                active_counts.append(float(aux[0]["bitmask"].sum()))
-            res = env.step(int(actions[0]))
-            total += res.reward
-        returns.append(total - EVAL_STEP_PENALTY * env.episode_steps)
+        _, total, steps = play_episode(source, level_specs[ep % len(level_specs)],
+                                       max_eval_ep_len, rng)
+        returns.append(total - EVAL_STEP_PENALTY * steps)
     arr = np.asarray(returns)
     stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    mean_active = float(np.mean(active_counts)) if active_counts else 0.0
-    return EvalResult(float(arr.mean()), stderr, returns, mean_active)
+    return EvalResult(float(arr.mean()), stderr, returns)

@@ -5,9 +5,11 @@ The directional experiments (criteria using the full three-phase protocol)
 run the real desk-scale configuration and take the bulk of the runtime; they
 are shared across tests through session-scoped fixtures.
 """
+import json
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ import pytest
 from orchestra import autodiff as ad
 from orchestra.autodiff import Tensor
 from orchestra.envs import LevelSpec, N_ACTIONS, OBS_DIM, EnvInstance
-from orchestra.harness import (RunConfig, Trainer, final_rewards,
-                               run_three_phase, steps_to_return)
+from orchestra.harness import (RunConfig, Trainer, config_from_flat_dict,
+                               final_rewards, run_three_phase, steps_to_return)
 from orchestra.hop import (CheckpointPolicy, HopConfig, JoinedSource,
                            Orchestra, TrustedStateSet, hierarchical_weights,
                            masked_policy_update)
@@ -27,6 +29,7 @@ from orchestra.pnn import PnnStack
 
 SEEDS = (1, 2, 3, 4)
 DESK_WORKERS = 2
+DESK_PRESET = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "hop_desk.json"
 
 
 def report(name: str, ok: bool, detail: str):
@@ -247,11 +250,9 @@ def test_weight_formula_suite():
 
 
 def _desk_config(algorithm, seed):
-    cfg = RunConfig(algorithm=algorithm, seed=seed)
-    cfg.hop.checkpoint_gradients = False   # see README and preset config
-    cfg.hop.checkpoint_interval = 98_304   # one checkpoint per phase boundary
-    cfg.hop.eval_episodes = 30
-    return cfg
+    """The bundled desk preset, for one algorithm and seed."""
+    preset = json.loads(DESK_PRESET.read_text())
+    return config_from_flat_dict({**preset, "algorithm": algorithm, "seed": seed})
 
 
 def _desk_run(job):

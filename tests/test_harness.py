@@ -47,6 +47,10 @@ def test_config_flat_round_trip():
     assert config_to_flat_dict(cfg2) == flat
 
 
+def test_flat_config_takes_missing_keys_from_run_config_defaults():
+    assert config_from_flat_dict({"algorithm": "hop"}) == RunConfig(algorithm="hop")
+
+
 def test_config_rejects_unknown_keys():
     flat = config_to_flat_dict(tiny_run_config())
     flat["learning_rte"] = 1e-3
@@ -187,20 +191,28 @@ def test_hop_run_attempts_checkpoints_and_counts_activations():
     assert all(len(c.trusted) > 0 for c in trainer.orchestra.checkpoints)
 
 
-def test_resume_reproduces_uninterrupted_run(tmp_path):
-    cfg = tiny_run_config("hop", seed=3)
-    cfg.hop.reward_limit = -100.0
-    full = run_three_phase(cfg, tmp_path / "full")
+@pytest.mark.parametrize("algorithm", ["ppo", "hop", "pnn"])
+def test_resume_reproduces_uninterrupted_run(tmp_path, algorithm):
+    def config():
+        cfg = tiny_run_config(algorithm, seed=3, also_eval_phase1=True)
+        cfg.hop.reward_limit = -100.0
+        return cfg
+
+    full = run_three_phase(config(), tmp_path / "full")
 
     part_dir = tmp_path / "part"
-    trainer = Trainer(tiny_run_config("hop", seed=3), part_dir)
-    trainer.config.hop.reward_limit = -100.0
-    trainer.run(max_iterations=3)  # stop mid-run at a rollout boundary
+    trainer = Trainer(config(), part_dir)
+    trainer.run(max_iterations=3)  # stop mid-run at a rollout boundary, in phase 2
+    if algorithm == "pnn":
+        assert trainer.stack.adapters
+    if algorithm == "hop":
+        assert len(trainer.orchestra) == 1
     resumed = resume(part_dir)
 
     assert resumed.rows == full.rows
-    assert (part_dir / "metrics.csv").read_bytes() == \
-           (tmp_path / "full" / "metrics.csv").read_bytes()
+    for name in ("updates.jsonl", "metrics.csv", "summary.json"):
+        assert (part_dir / name).read_bytes() == \
+               (tmp_path / "full" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("stage", ["_evaluate", "_persist"])

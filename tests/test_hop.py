@@ -455,7 +455,7 @@ def _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg, seed=7):
     vec = VecEnv([LevelSpec("runner", 1), LevelSpec("runner", 2)],
                  ppo_cfg.num_envs, max_ep_length=40)
     source = JoinedSource(learner, orch, hop_cfg)
-    return collect_rollout(source, vec, critic, ppo_cfg,
+    return collect_rollout(source, vec, critic.forward_np, ppo_cfg,
                            np.random.default_rng(seed))
 
 
@@ -491,6 +491,46 @@ def test_frozen_checkpoints_stay_bit_identical():
                          np.random.default_rng(9))
     for c, arrs in zip(orch.checkpoints, before):
         for a, b in zip(c.actor.get_arrays(), arrs):
+            assert np.array_equal(a, b)
+
+
+def test_learner_attributes_store_and_train_the_learner_alone():
+    learner, critic, orch, hop_cfg, ppo_cfg = _hop_setup(2)
+    hop_cfg.attributes = "learner"
+    hop_cfg.checkpoint_gradients = True
+    buffer = _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg)
+    assert any(a["bitmask"].any() for row in buffer.aux for a in row)
+    # the stored log-prob is the learner's at the sampled action, and the
+    # joined policy the actions were sampled from differs from it
+    source = JoinedSource(learner, orch, hop_cfg)
+    envs = np.arange(buffer.num_envs)
+    joined_differs = False
+    for t in range(buffer.num_steps):
+        learner_logp = ad.log_softmax_np(learner.forward_np(buffer.obs[t]))
+        assert np.array_equal(buffer.logprobs[t], learner_logp[envs, buffer.actions[t]])
+        joined_logp = ad.log_softmax_np(source.logits_and_aux(buffer.obs[t])[0])
+        joined_differs |= not np.array_equal(joined_logp, learner_logp)
+    assert joined_differs
+
+    # the update's logits are the learner's alone: it matches plain PPO and
+    # leaves every snapshot and its Adam state as they were
+    gae = compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda, norm_adv=True)
+    snapshots = copy.deepcopy([(c.actor.get_arrays(), c.opt.m, c.opt.v, c.opt.step_count)
+                               for c in orch.checkpoints])
+    l2, c2 = learner.clone(), critic.clone()
+    masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
+                         Adam(learner.parameters, 1e-3),
+                         Adam(critic.parameters, 1e-3),
+                         np.random.default_rng(9))
+    ppo_update(buffer, gae, l2, c2, ppo_cfg,
+               Adam(l2.parameters, 1e-3), Adam(c2.parameters, 1e-3),
+               np.random.default_rng(9))
+    for a, b in zip(learner.get_arrays() + critic.get_arrays(),
+                    l2.get_arrays() + c2.get_arrays()):
+        assert np.array_equal(a, b)
+    for c, (arrays, m, v, steps) in zip(orch.checkpoints, snapshots):
+        assert c.opt.step_count == steps == 0
+        for a, b in zip(c.actor.get_arrays() + c.opt.m + c.opt.v, arrays + m + v):
             assert np.array_equal(a, b)
 
 
@@ -654,3 +694,32 @@ def test_pickled_trusted_set_leaves_out_its_matrix():
     back = pickle.loads(pickle.dumps(ts))
     assert not {"units", "_matrix"} & set(back.__dict__)
     assert np.array_equal(back.matrix, ts.matrix)
+
+
+def test_trusted_set_keeps_digests_of_every_ingested_state():
+    rng = np.random.default_rng(73)
+    ts, states = _filled_set(rng, 25, dim=OBS_DIM, cap=10)   # 15 evicted
+    assert len(ts._seen) == 25 and all(len(key) == 16 for key in ts._seen)
+    ingested = ts._ingested
+    ts.add_episode(states, 9.0)          # evicted states are still known
+    assert ts._ingested == ingested
+
+
+def test_trusted_set_pickled_in_the_old_shape_loads_as_the_new():
+    # older pickles key _seen by each ingested state's full bytes and carry
+    # the unit vectors as units and _matrix
+    rng = np.random.default_rng(74)
+    ts, states = _filled_set(rng, 25, dim=OBS_DIM, cap=10)
+    new_seen = set(ts._seen)
+    old = TrustedStateSet(10, rng)
+    old.__dict__.update(ts.__dict__, _seen={s.tobytes() for s in states},
+                        units=list(ts.matrix), _matrix=ts.matrix)
+    back = pickle.loads(pickle.dumps(old))
+    assert not {"units", "_matrix"} & set(back.__dict__)
+    assert back._seen == new_seen
+    assert all(np.array_equal(a, b) for a, b in zip(back.raw, ts.raw))
+    assert back.episode_returns == ts.episode_returns
+    back.add_episode(states, 9.0)        # every state, evicted ones included
+    assert back._ingested == ts._ingested and len(back) == len(ts)
+    assert all(np.array_equal(a, b) for a, b in zip(back.raw, ts.raw))
+    assert pickle.loads(pickle.dumps(back)).__dict__.keys() == ts.__dict__.keys()

@@ -67,8 +67,9 @@ def test_two_column_forward_matches_hand_rolled_oracle():
 def _rollout_for(stack, task, cfg, env_seed=7, rng_seed=11):
     vec = VecEnv([LevelSpec("runner", env_seed)], cfg.num_envs, max_ep_length=40)
     src = ColumnSource(stack, task)
-    return collect_rollout(src, vec, stack.columns[stack._column(task)].critic,
-                           cfg, np.random.default_rng(rng_seed))
+    critic = stack.columns[stack._column(task)].critic
+    return collect_rollout(src, vec, critic.forward_np, cfg,
+                           np.random.default_rng(rng_seed))
 
 
 def tiny_cfg():

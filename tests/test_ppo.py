@@ -39,7 +39,7 @@ def test_rollout_deterministic_and_sized():
     for _ in range(2):
         vec = fresh_vec(cfg)
         rng = np.random.default_rng(99)
-        buffers.append(collect_rollout(LearnerSource(actor), vec, critic, cfg, rng))
+        buffers.append(collect_rollout(LearnerSource(actor), vec, critic.forward_np, cfg, rng))
     a, b = buffers
     assert a.obs.shape == (cfg.num_steps, cfg.num_envs, OBS_DIM)
     assert a.num_steps * a.num_envs == cfg.batch_size
@@ -51,7 +51,7 @@ def test_rollout_rewards_match_replay_oracle():
     cfg = tiny_cfg(num_steps=40)
     actor, critic = make_nets(3)
     vec = fresh_vec(cfg)
-    buffer = collect_rollout(LearnerSource(actor), vec, critic, cfg,
+    buffer = collect_rollout(LearnerSource(actor), vec, critic.forward_np, cfg,
                              np.random.default_rng(5))
     # replay the stored actions through fresh envs with the same rotation
     replay = fresh_vec(cfg)
@@ -110,7 +110,7 @@ def test_gae_monte_carlo_limit_hand_fixture():
 def _collected(cfg, seed=0):
     actor, critic = make_nets(seed)
     vec = fresh_vec(cfg)
-    buffer = collect_rollout(LearnerSource(actor), vec, critic, cfg,
+    buffer = collect_rollout(LearnerSource(actor), vec, critic.forward_np, cfg,
                              np.random.default_rng(17))
     return actor, critic, buffer
 
@@ -168,6 +168,39 @@ def test_clipped_branch_gradient_matches_hand_computation():
                np.random.default_rng(1))
     for p in actor.parameters:
         assert p.grad is None or np.abs(p.grad).max() < 1e-15
+
+
+@pytest.mark.parametrize("target_offset, unclipped_wins", [(-0.5, True), (1.0, False)])
+def test_clipped_value_loss_takes_the_larger_error(target_offset, unclipped_wins):
+    # the stored value sits 0.5 below the critic's v, so clip_coef 0.2 clips
+    # v to v_old + 0.2. The loss is the larger of the two squared errors:
+    # with target v - 0.5 that is the unclipped (0.25 against 0.04), whose
+    # gradient in v is vf_coef * (v - R); with target v + 1 it is the
+    # clipped (1.69 against 1), which is constant in v.
+    cfg = tiny_cfg(num_steps=1, num_envs=1, num_minibatches=1, update_epochs=1,
+                   ent_coef=0.0, clip_vloss=True, max_grad_norm=np.inf)
+    actor, critic = make_nets(4)
+    obs = np.random.default_rng(3).random((1, 1, OBS_DIM))
+    v = critic.forward_np(obs[0])[0, 0]
+    target = v + target_offset
+    buffer = RolloutBuffer(
+        obs=obs, actions=np.zeros((1, 1), dtype=np.int64),
+        rewards=np.zeros((1, 1)), dones=np.zeros((1, 1), dtype=bool),
+        logprobs=ad.log_softmax_np(actor.forward_np(obs[0]))[:, :1],
+        values=np.array([[v - 0.5]]), bootstrap=np.zeros(1), aux=[[None]],
+    )
+    gae = GaeOutput(np.zeros((1, 1)), np.array([[target]]), False)
+    stats = ppo_update(buffer, gae, actor, critic, cfg,
+                       Adam(actor.parameters, 0.0), Adam(critic.parameters, 0.0),
+                       np.random.default_rng(1))
+    err = (v - target) ** 2 if unclipped_wins else (v - 0.3 - target) ** 2
+    assert np.isclose(stats.value_loss, 0.5 * err, rtol=0, atol=1e-12)
+    out_bias_grad = critic.biases[-1].grad
+    if unclipped_wins:
+        assert np.isclose(out_bias_grad[0], cfg.vf_coef * (v - target), rtol=0, atol=1e-12)
+    else:
+        for p in critic.parameters:
+            assert p.grad is None or np.abs(p.grad).max() == 0.0
 
 
 def test_actor_gradient_reduces_to_vanilla_policy_gradient():
