@@ -324,10 +324,8 @@ class Trainer:
     def _accumulate_activations(self, buffer):
         if self.config.algorithm != "hop":
             return
-        for row in buffer.aux:
-            for a in row:
-                if a is not None:
-                    self.act_count_accum.append(float(a["bitmask"].sum()))
+        active = np.concatenate(buffer.aux)["bitmask"].sum(axis=1)
+        self.act_count_accum.extend(active.astype(float).tolist())
 
     def _event_rng(self, tag: int) -> np.random.Generator:
         """The generator of one evaluation or checkpoint event at this step."""

@@ -10,16 +10,16 @@ than itself), scaled by a recency-biased weight.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, require_positive
 from .nn import Adam, Mlp, load_params, mlp_named_arrays, load_mlp_arrays, save_params
@@ -80,13 +80,19 @@ class TrustedStateSet:
     def __len__(self) -> int:
         return len(self.raw)
 
+    def __getstate__(self):
+        # sorted, so the pickle's bytes do not depend on the per-process
+        # hash salt that orders a set of bytes
+        return {**self.__dict__, "_seen": sorted(self._seen)}
+
     def __setstate__(self, state: dict):
         # older pickles also carry unit vectors, and key _seen by each state's
         # full bytes: a stored state's own bytes are then among the keys
         state = {k: v for k, v in state.items() if k not in ("units", "_matrix")}
-        if state["raw"] and state["raw"][0].tobytes() in state["_seen"]:
-            state["_seen"] = set(map(_digest, state["_seen"]))
-        self.__dict__.update(state)
+        seen = set(state["_seen"])
+        if state["raw"] and state["raw"][0].tobytes() in seen:
+            seen = set(map(_digest, seen))
+        self.__dict__.update(state, _seen=seen)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -179,13 +185,16 @@ def hierarchical_weights(bitmask: np.ndarray) -> np.ndarray:
 
 # --- joined-logit expansion -------------------------------------------------
 #
-# The joined policy is evaluated by flattening its recursion into a list of
-# (checkpoint, coefficient, query state) terms. An active checkpoint m adds
-# its actor at its best-matching trusted state s*, plus the joined policy of
-# checkpoints 1..m-1 at s*, both scaled by W_m; so each term's coefficient is
-# the product of the weights along its recursion path. s* is one of m's own
-# trusted states, so that inner expansion depends only on the trusted sets
-# and omega: it is computed once per trusted state, bottom-up, and looked up.
+# The joined policy is a sum of (checkpoint, coefficient, state) terms. An
+# active checkpoint m adds its actor at its best-matching trusted state s*,
+# plus the joined policy of checkpoints 1..m-1 at s*, both scaled by W_m; so
+# each term's coefficient is the product of the weights along its recursion
+# path. s* is one of m's own trusted states, so the expansion below it
+# depends only on the trusted sets and omega: it is computed once per trusted
+# state, bottom-up, and looked up. Every term is a checkpoint's actor at one
+# of that checkpoint's own trusted states, so one forward of each actor over
+# its trusted set holds every value a term can take, and folding each trusted
+# state's expansion over those outputs leaves one logit row per trusted state.
 
 
 # Entries of the similarity matrix (rows x stacked states) that one scan
@@ -193,17 +202,33 @@ def hierarchical_weights(bitmask: np.ndarray) -> np.ndarray:
 _SCAN_CELLS = 1 << 20
 
 
+class Terms(NamedTuple):
+    """Flat joined-policy terms, ordered by row, then by active checkpoint,
+    each checkpoint's own term ahead of the terms below it. ``k`` is 1-based
+    and ``g`` indexes the stacked trusted states of the joined index."""
+    row: np.ndarray
+    k: np.ndarray
+    coeff: np.ndarray
+    g: np.ndarray
+
+
 class JoinedIndex:
     """The trusted sets of a list of checkpoints, arranged for batched
-    joined-policy expansion.
+    joined-policy evaluation.
 
     ``units_t`` stacks every checkpoint's unit vectors as the columns of one
-    ``D x S`` matrix, checkpoint m owning columns ``offsets[m]:offsets[m+1]``.
-    ``tables[m][i]`` holds the ``(k, coeff, j)`` terms of the joined policy of
-    checkpoints ``< m`` at m's trusted state i, where j indexes checkpoint k's
-    trusted set. Nothing here depends on actor weights, and nothing about
-    checkpoint m on checkpoints after it, so appending checkpoints extends
-    the index.
+    ``D x S`` matrix, checkpoint m owning columns ``offsets[m]:offsets[m+1]``;
+    a stacked state index g names one column. Row m of ``slots`` lists m's
+    columns, its last one repeated up to the longest set's length, so an
+    ``argmax`` along the row finds m's lowest-index best match.
+
+    ``tables`` holds, for each stacked state g, the terms of its owner's
+    joined policy at g: the owner's own term (coefficient 1), then the
+    expansion of the checkpoints before it, as entries
+    ``table_ptr[g]:table_ptr[g+1]`` whose ``row`` is g. Nothing there depends
+    on actor weights, and nothing about checkpoint m on checkpoints after it,
+    so appending checkpoints extends the index. ``logit_table`` folds the
+    tables over the actors' outputs at their current weights.
     """
 
     def __init__(self, checkpoints: Sequence[CheckpointPolicy], omega: float):
@@ -211,7 +236,13 @@ class JoinedIndex:
         self.checkpoints: list[CheckpointPolicy] = []
         self.offsets = np.zeros(1, dtype=np.int64)
         self.units_t: Optional[np.ndarray] = None
-        self.tables: list[list[list]] = []
+        self.slots = np.zeros((0, 0), dtype=np.int64)
+        self.tables = Terms(*(np.zeros(0, dtype=t)
+                              for t in (np.int64, np.int64, np.float64, np.int64)))
+        self.table_ptr = np.zeros(1, dtype=np.int64)
+        self._logits: list[np.ndarray] = []      # each actor over its trusted set
+        self._steps: list[int] = []              # at these optimizer step counts
+        self._table: Optional[np.ndarray] = None
         self.extend(checkpoints)
 
     def __len__(self) -> int:
@@ -230,57 +261,116 @@ class JoinedIndex:
         units = np.ascontiguousarray(np.concatenate([c.trusted.matrix for c in new]).T)
         self.units_t = units if self.units_t is None else \
             np.concatenate([self.units_t, units], axis=1)
+        sizes = np.diff(self.offsets)
+        self.slots = self.offsets[:-1, None] + np.minimum(np.arange(sizes.max()),
+                                                          sizes[:, None] - 1)
         for m in range(start, len(self)):
+            lo, hi = int(self.offsets[m]), int(self.offsets[m + 1])
+            own = np.arange(lo, hi)
+            parts = [Terms(own, np.full(hi - lo, m + 1), np.ones(hi - lo), own)]
             raw = self.checkpoints[m].trusted.raw
-            step = max(1, _SCAN_CELLS // max(1, int(self.offsets[m])))
-            self.tables.append([row for s in range(0, len(raw), step)
-                                for row in self.expand(raw[s:s + step], m)[1]])
+            step = max(1, _SCAN_CELLS // max(1, lo, self.slots[:m].size))
+            for s in range(0, len(raw), step):
+                below = self.expand(raw[s:s + step], m)[1]
+                parts.append(below._replace(row=below.row + lo + s))
+            new_terms = Terms(*map(np.concatenate, zip(*parts)))
+            order = np.argsort(new_terms.row, kind="stable")    # own term first
+            self.tables = Terms(*(np.concatenate([a, b[order]])
+                                  for a, b in zip(self.tables, new_terms)))
+            self.table_ptr = np.concatenate(
+                [[0], np.cumsum(np.bincount(self.tables.row, minlength=hi))])
 
-    def state(self, k: int, j: int) -> np.ndarray:
-        """Trusted state j of checkpoint k (1-based), the stored row itself."""
-        return self.checkpoints[k - 1].trusted.raw[j]
-
-    def _scan(self, queries: Sequence[np.ndarray], count: int):
+    def scan(self, queries: Sequence[np.ndarray], count: int):
         """Index of the best match in each of the first ``count`` trusted sets
         (ties break to the lowest index), and whether it activates, per row."""
+        if count == 0:
+            return np.zeros((len(queries), 0), dtype=np.int64), \
+                np.zeros((len(queries), 0), dtype=bool)
         q = np.asarray(queries, dtype=np.float64)
-        norms = np.linalg.norm(q, axis=1)
+        norms = np.sqrt((q * q).sum(axis=1))        # np.linalg.norm's arithmetic
         if not norms.all():
             raise ContractError("query state must be nonzero")
         q = q / norms[:, None]
         cols = np.flatnonzero(q.any(axis=0))
-        bounds = self.offsets[:count + 1]
-        sims = q[:, cols] @ self.units_t[cols, :bounds[-1]]
-        best = np.stack([sims[:, a:b].argmax(axis=1) for a, b in zip(bounds, bounds[1:])],
-                        axis=1)
-        return best, np.maximum.reduceat(sims, bounds[:-1], axis=1) > self.omega
+        sims = q[:, cols] @ self.units_t[cols, :self.offsets[count]]
+        grid = sims[:, self.slots[:count]]
+        return grid.argmax(axis=2), grid.max(axis=2) > self.omega
+
+    def terms(self, best: np.ndarray, bitmask: np.ndarray) -> Terms:
+        """The joined-policy terms of rows with these best matches and
+        activations: each active checkpoint's table at its best match, every
+        coefficient scaled by the checkpoint's hierarchical weight."""
+        rows, ms = np.nonzero(bitmask)
+        g = self.offsets[ms] + best[rows, ms]
+        w = hierarchical_weights(bitmask)[rows, ms]
+        sizes = self.table_ptr[g + 1] - self.table_ptr[g]
+        group = np.repeat(np.arange(len(g)), sizes)
+        at = (np.arange(len(group)) + np.repeat(self.table_ptr[g] - (np.cumsum(sizes) - sizes),
+                                                sizes))
+        return Terms(rows[group], self.tables.k[at], w[group] * self.tables.coeff[at],
+                     self.tables.g[at])
 
     def expand(self, queries: Sequence[np.ndarray], count: int):
         """Activation bitmask ``(N, count)`` of the first ``count`` checkpoints
-        at N query states and, per row, the ``(k, coeff, j)`` terms of their
-        joined policy."""
-        if count == 0:
-            return np.zeros((len(queries), 0), dtype=bool), [[] for _ in queries]
-        best, bitmask = self._scan(queries, count)
-        weights = hierarchical_weights(bitmask)
-        terms = []
-        for bits, idx, w_row in zip(bitmask.tolist(), best.tolist(), weights.tolist()):
-            row = []
-            for m, (on, w, i) in enumerate(zip(bits, w_row, idx)):
-                if on:
-                    row.append((m + 1, w, i))
-                    row.extend((k, w * coeff, j) for k, coeff, j in self.tables[m][i])
-            terms.append(row)
-        return bitmask, terms
+        at N query states, and the terms of their joined policy."""
+        best, bitmask = self.scan(queries, count)
+        return bitmask, self.terms(best, bitmask)
+
+    def logit_table(self) -> np.ndarray:
+        """``S x A`` logits, row g the owner's joined logits at stacked state g:
+        the tables folded over every actor's outputs on its trusted set.
+
+        Built on first use. A snapshot's weights change only through its
+        optimizer, so only an appended checkpoint, or one whose step count
+        moved since the last call, runs its actor again before the fold.
+        """
+        steps = [c.opt.step_count if c.opt is not None else 0 for c in self.checkpoints]
+        if steps != self._steps:
+            for k, c in enumerate(self.checkpoints):
+                if k >= len(self._steps) or self._steps[k] != steps[k]:
+                    self._logits[k:k + 1] = [c.actor.forward_np(np.stack(c.trusted.raw))]
+            logits = np.concatenate(self._logits)
+            self._table = np.add.reduceat(self.tables.coeff[:, None] * logits[self.tables.g],
+                                          self.table_ptr[:-1], axis=0)
+            self._steps = steps
+        return self._table
+
+    def contribution(self, best: np.ndarray, bitmask: np.ndarray) -> np.ndarray:
+        """The orchestra's part of the joined logits: ``sum_m W_m T[best_m]``,
+        one gather from the logit table per row and checkpoint."""
+        table = self.logit_table()
+        rows = table[self.offsets[:-1] + best]
+        return np.einsum("nm,nma->na", hierarchical_weights(bitmask), rows)
 
 
 def expand_joined(orchestra: Orchestra, state: np.ndarray, omega: float):
     """Activation bitmask plus flattened ``(k, coeff, state)`` checkpoint
-    terms for one state."""
+    terms for one state, each state the stored row itself."""
     index = orchestra.joined_index(omega)
     bitmask, terms = index.expand(np.asarray(state)[None, :], len(index))
     return (ActivationVector(bitmask[0]),
-            [(k, coeff, index.state(k, j)) for k, coeff, j in terms[0]])
+            [(k, coeff, index.checkpoints[k - 1].trusted.raw[g - index.offsets[k - 1]])
+             for k, coeff, g in zip(terms.k.tolist(), terms.coeff.tolist(),
+                                    terms.g.tolist())])
+
+
+@functools.lru_cache
+def _records_dtype(checkpoints: int, actions: int) -> np.dtype:
+    return np.dtype([("bitmask", bool, (checkpoints,)), ("best", np.int64, (checkpoints,)),
+                     ("orchestra", np.float64, (actions,)),
+                     ("learner_logits", np.float64, (actions,))])
+
+
+def joined_records(bitmask: np.ndarray, best: np.ndarray, contribution: np.ndarray,
+                   learner_logits: np.ndarray) -> np.ndarray:
+    """The aux records of a joined act, one structured row per observation:
+    the activation ``bitmask`` and ``best`` match of every checkpoint, the
+    ``orchestra``'s part of the logits and the ``learner_logits``."""
+    records = np.empty(len(bitmask),
+                       dtype=_records_dtype(bitmask.shape[1], learner_logits.shape[1]))
+    records["bitmask"], records["best"] = bitmask, best
+    records["orchestra"], records["learner_logits"] = contribution, learner_logits
+    return records
 
 
 class JoinedSource(ActionSource):
@@ -292,34 +382,19 @@ class JoinedSource(ActionSource):
         self.cfg = cfg
 
     def logits_and_aux(self, obs_batch: np.ndarray):
-        """Learner logits plus every checkpoint term of the joined policy,
-        each checkpoint evaluated once per distinct trusted state."""
+        """Learner logits plus the orchestra's, gathered from the logit table
+        at each checkpoint's best match; aux is ``joined_records``."""
         learner_logits = self.learner.forward_np(obs_batch)
-        logits = learner_logits.copy()
         index = self.orchestra.joined_index(self.cfg.min_similarity_score)
-        bitmask, terms = index.expand(obs_batch, len(index))
-        outputs: dict = {}
-        aux = []
-        for n, row in enumerate(terms):
-            row_terms = []
-            for k, coeff, j in row:
-                s = index.state(k, j)
-                out = outputs.get((k, j))
-                if out is None:
-                    out = self.orchestra.checkpoints[k - 1].actor.forward_np(s[None, :])[0]
-                    outputs[(k, j)] = out
-                logits[n] += coeff * out
-                row_terms.append((k, coeff, s))
-            aux.append({
-                "bitmask": bitmask[n],
-                "terms": row_terms,
-                "learner_logits": learner_logits[n],
-            })
-        return logits, aux
+        best, bitmask = index.scan(obs_batch, len(index))
+        contribution = index.contribution(best, bitmask) if len(index) else \
+            np.zeros_like(learner_logits)
+        return (learner_logits + contribution,
+                joined_records(bitmask, best, contribution, learner_logits))
 
     def behavior_logits(self, logits: np.ndarray, aux) -> np.ndarray:
         if self.cfg.attributes == "learner":
-            return np.stack([a["learner_logits"] for a in aux])
+            return aux["learner_logits"]
         return logits
 
 
@@ -356,14 +431,6 @@ def checkpoint_now(learner: Mlp, orchestra: Orchestra,
     return ckpt
 
 
-def _stack_terms(entries: list[tuple[int, float, np.ndarray]]):
-    """(row, coefficient, state) entries as row indices, a coefficient
-    column and a state matrix."""
-    rows = np.fromiter((e[0] for e in entries), dtype=np.int64)
-    coeffs = np.fromiter((e[1] for e in entries), dtype=np.float64)
-    return rows, coeffs[:, None], np.stack([e[2] for e in entries])
-
-
 def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
                          critic: Mlp, orchestra: Orchestra, ppo_cfg: PpoConfig,
                          hop_cfg: HopConfig, actor_opt: Adam, critic_opt: Adam,
@@ -372,56 +439,54 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
 
     Checkpoint m's parameters enter the graph only on timesteps whose stored
     bitmask has bit m set (and only when checkpoint gradients are enabled);
-    every other checkpoint contribution is folded in as a constant.
+    every other checkpoint contribution is folded in as a constant. Frozen
+    snapshots never change, so their part is the one each act stored.
     """
-    B = buffer.num_steps * buffer.num_envs
     M = len(orchestra)
-    flat_aux = [buffer.aux[t][n]
-                for t in range(buffer.num_steps)
-                for n in range(buffer.num_envs)]
-    for a in flat_aux:
-        if a is not None and len(a["bitmask"]) != M:
-            raise ContractError(
-                f"stored bitmask length {len(a['bitmask'])} != checkpoint count {M}"
-            )
-    obs_flat = buffer.obs.reshape(B, -1)
-    n_actions = learner.sizes[-1]
-    route_grads = hop_cfg.checkpoint_gradients
+    records = np.concatenate(buffer.aux)
+    stored = records.dtype["bitmask"].shape[0]
+    if stored != M:
+        raise ContractError(f"stored bitmask length {stored} != checkpoint count {M}")
+    bitmask, best = records["bitmask"], records["best"]
+    obs_flat = buffer.obs.reshape(len(records), -1)
     learner_mode = hop_cfg.attributes == "learner"
+    route_grads = hop_cfg.checkpoint_gradients and not learner_mode
+    index = orchestra.joined_index(hop_cfg.min_similarity_score)
+
+    def routed_logits(logits: Tensor, idx: np.ndarray):
+        """Every term of the minibatch from one forward per checkpoint over
+        its distinct states: on the tape where the stored bitmask routes a
+        gradient into the checkpoint, a constant elsewhere."""
+        terms = index.terms(best[idx], bitmask[idx])
+        routed = bitmask[idx][terms.row, terms.k - 1].astype(np.int64)
+        const = np.zeros(logits.shape)
+        extra_params = []
+        for k in np.unique(terms.k).tolist():
+            sel = terms.k == k
+            states, at = np.unique(terms.g[sel], return_inverse=True)
+            ckpt = orchestra.checkpoints[k - 1]
+            x = np.stack([ckpt.trusted.raw[j] for j in (states - index.offsets[k - 1]).tolist()])
+            spread = np.zeros((2, len(idx), len(states)))   # constant, routed coefficients
+            np.add.at(spread, (routed[sel], terms.row[sel], at), terms.coeff[sel])
+            if routed[sel].any():
+                out = ckpt.actor.forward(Tensor(x))
+                logits = logits + Tensor(spread[1]) @ out
+                extra_params.extend(ckpt.actor.parameters)
+                out = out.data
+            else:
+                out = ckpt.actor.forward_np(x)
+            const += spread[0] @ out
+        return logits + Tensor(const), extra_params
 
     def logits_fn(idx: np.ndarray):
         logits = learner.forward(Tensor(obs_flat[idx]))
         if learner_mode or M == 0:
             return logits, []
-        const = np.zeros((len(idx), n_actions))
-        grad_batches: dict[int, list] = {}
-        const_batches: dict[int, list] = {}
-        for row, t in enumerate(idx):
-            a = flat_aux[t]
-            if a is None:
-                continue
-            bitmask = a["bitmask"]
-            for k, coeff, s in a["terms"]:
-                if route_grads and bitmask[k - 1]:
-                    grad_batches.setdefault(k, []).append((row, coeff, s))
-                else:
-                    const_batches.setdefault(k, []).append((row, coeff, s))
-        for k, entries in const_batches.items():
-            rows, coeffs, states = _stack_terms(entries)
-            out = orchestra.checkpoints[k - 1].actor.forward_np(states)
-            np.add.at(const, rows, coeffs * out)
-        logits = logits + Tensor(const)
-        extra_params = []
-        for k, entries in grad_batches.items():
-            rows, coeffs, states = _stack_terms(entries)
-            ckpt = orchestra.checkpoints[k - 1]
-            out = ckpt.actor.forward(Tensor(states))
-            logits = ad.index_add(logits, rows, out * Tensor(coeffs))
-            extra_params.extend(ckpt.actor.parameters)
-        return logits, extra_params
+        if not route_grads:
+            return logits + Tensor(records["orchestra"][idx]), []
+        return routed_logits(logits, idx)
 
-    extra_opts = [c.opt for c in orchestra.checkpoints
-                  if c.opt is not None and route_grads and not learner_mode]
+    extra_opts = [c.opt for c in orchestra.checkpoints if c.opt is not None and route_grads]
     return ppo_update(buffer, gae, learner, critic, ppo_cfg, actor_opt,
                       critic_opt, rng, logits_fn=logits_fn, extra_opts=extra_opts)
 

@@ -3,8 +3,8 @@
 The rollout collector is generic over an "action source" so the same
 machinery serves the plain learner, the checkpoint-orchestra joined policy,
 and the progressive-network columns. Sources return per-env auxiliary
-records (activation bitmask, logit expansion) that the buffer stores
-verbatim; the update never recomputes them.
+records (activation bitmask, best matches, the orchestra's part of the
+logits) that the buffer stores verbatim; the update never recomputes them.
 """
 from __future__ import annotations
 

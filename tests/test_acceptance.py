@@ -21,7 +21,7 @@ from orchestra.harness import (RunConfig, Trainer, config_from_flat_dict,
                                final_rewards, run_three_phase, steps_to_return)
 from orchestra.hop import (CheckpointPolicy, HopConfig, JoinedSource,
                            Orchestra, TrustedStateSet, hierarchical_weights,
-                           masked_policy_update)
+                           joined_records, masked_policy_update)
 from orchestra.nn import Adam, Mlp
 from orchestra.ppo import (EVAL_STEP_PENALTY, GaeOutput, PpoConfig,
                            RolloutBuffer, evaluate_policy)
@@ -345,20 +345,15 @@ def test_trusted_state_gate(directional_runs):
 def _crafted_masked_buffer(learner, orch, rng):
     dim = learner.sizes[0]
     obs = rng.random((4, 1, dim)) + 0.01
-    logits = learner.forward_np(obs[:, 0, :])
-    aux = []
-    M = len(orch.checkpoints)
-    for t in range(4):
-        bits = np.zeros(M, dtype=bool)
-        terms = []
-        if t == 1:  # the single activated timestep, checkpoint 1 only
-            bits[0] = True
-            sstar, _, _ = orch.checkpoints[0].trusted.find_most_similar(obs[t, 0])
-            terms = [(1, 0.5, sstar)]
-            logits[t] += 0.5 * orch.checkpoints[0].actor.forward_np(sstar[None])[0]
-        aux.append([{"bitmask": bits, "terms": terms,
-                     "learner_logits": logits[t].copy()}])
-    logp = ad.log_softmax_np(logits)
+    index = orch.joined_index(HopConfig().min_similarity_score)
+    best, _ = index.scan(obs[:, 0, :], len(index))
+    bits = np.zeros((4, len(orch.checkpoints)), dtype=bool)
+    bits[1, 0] = True   # the single activated timestep, checkpoint 1 only
+    learner_logits = learner.forward_np(obs[:, 0, :])
+    contribution = index.contribution(best, bits)
+    aux = [joined_records(bits[t:t + 1], best[t:t + 1], contribution[t:t + 1],
+                          learner_logits[t:t + 1]) for t in range(4)]
+    logp = ad.log_softmax_np(learner_logits + contribution)
     actions = np.array([[int(np.argmax(logp[t]))] for t in range(4)])
     return RolloutBuffer(
         obs=obs, actions=actions, rewards=rng.random((4, 1)),

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ from orchestra.errors import ConfigError
 from orchestra.harness import (MetricsReport, MetricsRow, RunConfig, Trainer,
                                aggregate, config_from_flat_dict,
                                config_to_flat_dict, export_metrics,
-                               final_rewards, read_metrics_csv, resume,
+                               final_rewards, load_trainer, read_metrics_csv, resume,
                                run_three_phase, steps_to_return, summarize)
 from orchestra.hop import HopConfig
 from orchestra.ppo import PpoConfig
@@ -273,6 +276,27 @@ def test_resume_before_the_first_persist_starts_at_step_zero(tmp_path):
     for name in ("updates.jsonl", "metrics.csv"):
         assert (tmp_path / "part" / name).read_bytes() == \
                (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_state_pickle_does_not_depend_on_the_hash_seed(tmp_path):
+    # a set of bytes iterates in an order set by the per-process hash salt:
+    # runs that differ only in PYTHONHASHSEED must still write the same bytes
+    cfg = tiny_run_config("hop", seed=2)
+    cfg.hop.reward_limit = -100.0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(config_to_flat_dict(cfg)))
+    src = str(Path(harness.__file__).resolve().parents[1])
+    code = ("import json, sys\n"
+            "from orchestra.harness import config_from_flat_dict, run_three_phase\n"
+            "run_three_phase(config_from_flat_dict(json.loads(open(sys.argv[1]).read())), "
+            "sys.argv[2])")
+    for seed in ("1", "2"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / seed)],
+                       env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path), check=True)
+    assert len(load_trainer(tmp_path / "1").orchestra) == 3
+    assert (tmp_path / "1" / "state.pkl").read_bytes() == \
+           (tmp_path / "2" / "state.pkl").read_bytes()
 
 
 def test_resume_refuses_a_changed_run_environment(tmp_path):

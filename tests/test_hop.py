@@ -12,7 +12,7 @@ from orchestra.errors import ContractError
 from orchestra.hop import (CheckpointPolicy, HopConfig, JoinedIndex,
                            JoinedSource, Orchestra, TrustedStateSet, checkpoint_now,
                            cosine_similarity, expand_joined,
-                           hierarchical_weights, load_checkpoint,
+                           hierarchical_weights, joined_records, load_checkpoint,
                            masked_policy_update, save_checkpoint)
 from orchestra.nn import Adam, Mlp, save_params
 from orchestra.ppo import (GaeOutput, PpoConfig, RolloutBuffer,
@@ -235,9 +235,9 @@ def _oracle_terms(checkpoints, state, omega):
 
 
 def _term_keys(aux):
-    """Per row: bitmask and terms, each state by identity."""
-    return [(a["bitmask"].tolist(), [(k, c, id(s)) for k, c, s in a["terms"]])
-            for a in aux]
+    """Per row: bitmask and each active checkpoint's best match, which fix
+    the row's terms through the joined index."""
+    return [(a["bitmask"].tolist(), a["best"][a["bitmask"]].tolist()) for a in aux]
 
 
 @pytest.mark.parametrize("m", [0, 1, 3, 6])
@@ -259,18 +259,24 @@ def test_batched_expansion_matches_one_row_calls_and_the_oracle(m):
     one = [source.logits_and_aux(q[None, :]) for q in batch]
     assert np.array_equal(logits, np.concatenate([lg for lg, _ in one]))
     assert _term_keys(aux) == _term_keys([a[0] for _, a in one])
+    terms = []
     for q, a, got in zip(batch, aux, logits):
         assert len(a["bitmask"]) == m
         want = _oracle_joined(learner, orch.checkpoints, q, omega)
         assert np.abs(got - want).max() < 1e-10
+        activation, row_terms = expand_joined(orch, q, omega)
+        assert np.array_equal(activation.bitmask, a["bitmask"])
+        assert a["best"].tolist() == [c.trusted.find_most_similar(q)[2]
+                                      for c in orch.checkpoints]
         oracle = _oracle_terms(orch.checkpoints, q, omega)
-        assert [(k, c, id(s)) for k, c, s in a["terms"]] == \
+        assert [(k, c, id(s)) for k, c, s in row_terms] == \
                [(k, c, id(s)) for k, c, s in oracle]
+        terms.append(row_terms)
     if m:
         assert any(not a["bitmask"].any() for a in aux)
         assert any(a["bitmask"].any() for a in aux)
     if m >= 3:   # some activation recurses into older checkpoints
-        assert any(len(a["terms"]) > a["bitmask"].sum() for a in aux)
+        assert any(len(t) > a["bitmask"].sum() for t, a in zip(terms, aux))
 
 
 def test_exact_similarity_tie_breaks_to_the_lowest_index():
@@ -287,7 +293,7 @@ def test_exact_similarity_tie_breaks_to_the_lowest_index():
         assert len(terms) == 1 and terms[0][2] is ts.raw[1]
     source = JoinedSource(_tiny_actor(rng), orch, HopConfig())
     _, aux = source.logits_and_aux(np.stack([3.0 * s, s, rng.random(8) + 0.01]))
-    assert aux[0]["terms"][0][2] is ts.raw[1] and aux[1]["terms"][0][2] is ts.raw[1]
+    assert aux[0]["best"][0] == 1 and aux[1]["best"][0] == 1
 
 
 def test_joined_source_follows_a_growing_orchestra():
@@ -308,7 +314,8 @@ def _same_index(a, b):
     assert len(a) == len(b) and a.omega == b.omega
     assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.units_t, b.units_t)
-    assert a.tables == b.tables
+    assert np.array_equal(a.table_ptr, b.table_ptr)
+    assert all(np.array_equal(x, y) for x, y in zip(a.tables, b.tables))
     assert all(x is y for x, y in zip(a.checkpoints, b.checkpoints))
 
 
@@ -344,7 +351,7 @@ def test_routed_gradient_step_keeps_activations_and_terms():
     gae = compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda, norm_adv=True)
     states = buffer.obs.reshape(-1, OBS_DIM)
     source = JoinedSource(learner, orch, hop_cfg)
-    _, before = source.logits_and_aux(states)
+    logits_before, before = source.logits_and_aux(states)
     assert any(a["bitmask"].any() for a in before) and hop_cfg.checkpoint_gradients
     weights = [c.actor.get_arrays() for c in orch.checkpoints]
     masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
@@ -357,6 +364,85 @@ def test_routed_gradient_step_keeps_activations_and_terms():
     fresh_logits, fresh = JoinedSource(learner, orch, hop_cfg).logits_and_aux(states)
     assert _term_keys(after) == _term_keys(before) == _term_keys(fresh)
     assert np.array_equal(logits, fresh_logits)
+    # the stepped snapshots' logit tables were rebuilt: the orchestra's part
+    # moved, and equals that of an index built from scratch
+    active = before["bitmask"].any(axis=1)
+    assert not np.array_equal(logits, logits_before)
+    assert not np.array_equal(after["orchestra"][active], before["orchestra"][active])
+    rebuilt = pickle.loads(pickle.dumps(orch))
+    assert np.array_equal(logits, JoinedSource(learner, rebuilt, hop_cfg).logits_and_aux(states)[0])
+
+
+def _record_forwards(learner, orch):
+    """Log the update's forward passes: None for each learner forward, which
+    opens a minibatch, and ``(k, input rows)`` for each snapshot forward."""
+    log = []
+
+    def wrap(net, name, key):
+        method = getattr(net, name)
+
+        def recorded(x, *args, **kwargs):
+            if key is None:
+                log.append(None)
+            else:
+                rows = x.data if isinstance(x, ad.Tensor) else np.atleast_2d(x)
+                log.append((key, [r.tobytes() for r in rows]))
+            return method(x, *args, **kwargs)
+
+        setattr(net, name, recorded)
+
+    wrap(learner, "forward", None)
+    for c in orch.checkpoints:
+        wrap(c.actor, "forward", c.index)
+        wrap(c.actor, "forward_np", c.index)
+    return log
+
+
+def test_frozen_snapshots_run_no_forward_in_the_update():
+    learner, critic, orch, hop_cfg, ppo_cfg = _hop_setup(3)
+    hop_cfg.checkpoint_gradients = False
+    buffer = _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg)
+    assert any(a["bitmask"].any() for row in buffer.aux for a in row)
+    gae = compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda, norm_adv=True)
+    log = _record_forwards(learner, orch)
+    masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
+                         Adam(learner.parameters, 1e-3),
+                         Adam(critic.parameters, 1e-3),
+                         np.random.default_rng(9))
+    assert log and all(entry is None for entry in log)
+
+
+def test_routed_minibatch_forwards_each_distinct_state_once():
+    learner, critic, orch, hop_cfg, ppo_cfg = _hop_setup(3)
+    buffer = _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg)
+    gae = compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda, norm_adv=True)
+    log = _record_forwards(learner, orch)
+    stats = masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
+                                 Adam(learner.parameters, 1e-3),
+                                 Adam(critic.parameters, 1e-3),
+                                 np.random.default_rng(9))
+    minibatches = []
+    for entry in log:
+        if entry is None:
+            minibatches.append([])
+        else:
+            minibatches[-1].extend((entry[0], row) for row in entry[1])
+    assert len(minibatches) == stats.epochs_run * ppo_cfg.num_minibatches
+    for forwarded in minibatches:
+        assert len(forwarded) == len(set(forwarded))
+    # the buffer's terms share states, so forwarding each once saves rows
+    records = np.concatenate(buffer.aux)
+    index = orch.joined_index(hop_cfg.min_similarity_score)
+    terms = index.terms(records["best"], records["bitmask"])
+    assert 0 < sum(map(len, minibatches)) < stats.epochs_run * len(terms.k)
+
+
+def test_logit_tables_are_left_out_of_pickles():
+    learner, _, orch, hop_cfg, _ = _hop_setup(3)
+    size = len(pickle.dumps(orch))
+    JoinedSource(learner, orch, hop_cfg).logits_and_aux(_level_states(np.random.default_rng(2)))
+    assert orch._index.logit_table().shape == (orch._index.offsets[-1], N_ACTIONS)
+    assert len(pickle.dumps(orch)) == size
 
 
 # --- trusted-state bookkeeping --------------------------------------------------
@@ -558,21 +644,18 @@ def test_routing_flag_does_not_change_learner_gradients():
 
 
 def _crafted_buffer(learner, orch, hop_cfg, bitmasks, rng):
-    """4-step, 1-env buffer with hand-built activation records."""
+    """4-step, 1-env buffer with hand-set activation bitmasks, and the records
+    a joined act with those activations stores."""
     dim = learner.sizes[0]
     obs = rng.random((4, 1, dim)) + 0.01
-    aux = []
-    logits = learner.forward_np(obs[:, 0, :])
-    for t in range(4):
-        bits = np.asarray(bitmasks[t], dtype=bool)
-        terms = []
-        for m in np.flatnonzero(bits):
-            sstar, _, _ = orch.checkpoints[m].trusted.find_most_similar(obs[t, 0])
-            terms.append((int(m) + 1, 0.5, sstar))
-            logits[t] += 0.5 * orch.checkpoints[m].actor.forward_np(sstar[None])[0]
-        aux.append([{"bitmask": bits, "terms": terms,
-                     "learner_logits": logits[t].copy()}])
-    logp = ad.log_softmax_np(logits)
+    index = orch.joined_index(hop_cfg.min_similarity_score)
+    best, _ = index.scan(obs[:, 0, :], len(index))
+    bits = np.asarray(bitmasks, dtype=bool)
+    learner_logits = learner.forward_np(obs[:, 0, :])
+    contribution = index.contribution(best, bits)
+    aux = [joined_records(bits[t:t + 1], best[t:t + 1], contribution[t:t + 1],
+                          learner_logits[t:t + 1]) for t in range(4)]
+    logp = ad.log_softmax_np(learner_logits + contribution)
     actions = np.array([[int(np.argmax(logp[t]))] for t in range(4)])
     return RolloutBuffer(
         obs=obs, actions=actions,
