@@ -2,7 +2,7 @@
 
 Covers exactly what small MLP policy/value networks and a clipped-surrogate
 loss need: matmul, broadcasting add/sub/mul, tanh, exp/log, square,
-reductions, elementwise min/max, clipping, row gathers and row scatter-add.
+reductions, elementwise min/max, clipping, row gather and row scatter-add.
 Graphs are built eagerly per forward pass and discarded after backward().
 """
 from __future__ import annotations
@@ -102,7 +102,9 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
+def node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
+    """A tape node whose ``backward(g)`` sends its gradient to ``parents``;
+    off the tape when none of them is on it."""
     out = Tensor(data)
     if any(p.requires_grad or p._backward is not None for p in parents):
         out._parents = tuple(parents)
@@ -130,7 +132,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
 
-    return _node(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -142,7 +144,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.data.shape))
 
-    return _node(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -154,7 +156,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    return _node(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -166,7 +168,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
-    return _node(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -176,7 +178,7 @@ def tanh(a: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(g * (1.0 - data * data))
 
-    return _node(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -186,7 +188,7 @@ def exp(a: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(g * data)
 
-    return _node(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -196,7 +198,7 @@ def log(a: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(g / a.data)
 
-    return _node(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def square(a: Tensor) -> Tensor:
@@ -206,7 +208,7 @@ def square(a: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(g * 2.0 * a.data)
 
-    return _node(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -221,7 +223,7 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
             gg = g if keepdims else np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(gg, a.data.shape))
 
-    return _node(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def tmean(a: Tensor, axis=None) -> Tensor:
@@ -239,7 +241,7 @@ def reshape(a: Tensor, shape) -> Tensor:
         if a.requires_grad:
             a._accumulate(g.reshape(a.data.shape))
 
-    return _node(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
@@ -253,7 +255,7 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * ~take_a, b.data.shape))
 
-    return _node(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -265,7 +267,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
         if a.requires_grad:
             a._accumulate(g * inside)
 
-    return _node(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def pick(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -279,20 +281,7 @@ def pick(a: Tensor, idx: np.ndarray) -> Tensor:
             np.add.at(full, (rows, idx), g)
             a._accumulate(full)
 
-    return _node(data, (a,), backward)
-
-
-def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    """Rows ``a[rows]`` of a 2-D tensor; rows must be distinct."""
-    data = a.data[rows]
-
-    def backward(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[rows] += g
-
-    return _node(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def index_add(base: Tensor, rows: np.ndarray, contrib: Tensor) -> Tensor:
@@ -309,7 +298,7 @@ def index_add(base: Tensor, rows: np.ndarray, contrib: Tensor) -> Tensor:
         if contrib.requires_grad:
             contrib._accumulate(g[rows])
 
-    return _node(data, (base, contrib), backward)
+    return node(data, (base, contrib), backward)
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -345,21 +334,21 @@ def backward(loss: Tensor):
     seen = set()
     stack = [(loss, False)]
     while stack:
-        node, expanded = stack.pop()
-        if id(node) in seen:
+        t, expanded = stack.pop()
+        if id(t) in seen:
             continue
         if expanded:
-            seen.add(id(node))
-            topo.append(node)
+            seen.add(id(t))
+            topo.append(t)
             continue
-        stack.append((node, True))
-        for p in node._parents:
+        stack.append((t, True))
+        for p in t._parents:
             if id(p) not in seen and (p._backward is not None or p.requires_grad):
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    for t in reversed(topo):
+        if t._backward is not None and t.grad is not None:
+            t._backward(t.grad)
 
 
 def zero_grads(params: Iterable[Tensor]):

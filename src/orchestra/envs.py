@@ -41,7 +41,6 @@ CUE_REWARD = 1.0
 class LevelSpec:
     family: str
     level_seed: int
-    grid_size: int = GRID
 
 
 @dataclass(frozen=True)

@@ -31,16 +31,12 @@ def init_mlp_params(
     return params
 
 
-def _set_columns(x: np.ndarray) -> np.ndarray:
-    """Indices of the columns that are nonzero in some row of x."""
-    return np.flatnonzero(x.any(axis=0))
-
-
 class Mlp:
     """A tanh-hidden multilayer perceptron over flat float64 vectors.
 
     Parameters live as leaf Tensors so one network object serves both the
     graph-building forward (updates) and the raw-numpy forward (rollouts).
+    Both run the same numpy body, ``_stack``.
     """
 
     def __init__(self, sizes: Sequence[int], rng: np.random.Generator):
@@ -58,66 +54,72 @@ class Mlp:
             out.extend((w, b))
         return out
 
-    def _check_input(self, x: np.ndarray):
-        if x.shape[-1] != self.sizes[0]:
-            raise DimensionError(
-                f"layer 0 expects input width {self.sizes[0]}, got {x.shape[-1]}"
-            )
-
-    def forward(self, x, return_hidden: bool = False):
-        """Graph-building forward. Accepts a Tensor or ndarray of shape (B, in).
-
-        A constant input (an ndarray, or a Tensor off the tape) enters the
-        first layer through the columns it sets only; see ``forward_np``.
-        """
-        h = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(x))
-        self._check_input(h.data)
-        last_hidden = None
-        n = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if h.data.shape[-1] != w.data.shape[0]:
-                raise DimensionError(
-                    f"layer {i} expects input width {w.data.shape[0]}, "
-                    f"got {h.data.shape[-1]}"
-                )
-            if i == 0 and not h.requires_grad:
-                cols = _set_columns(h.data)
-                h = Tensor(h.data[:, cols]) @ ad.take_rows(w, cols) + b
-            else:
-                h = h @ w + b
-            if i < n - 1:
-                h = h.tanh()
-                last_hidden = h
-        if return_hidden:
-            return h, last_hidden
-        return h
-
-    def forward_np(self, x: np.ndarray, return_hidden: bool = False):
-        """Raw-numpy forward without the tape; bit-identical to forward().
+    def _stack(self, x) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Every layer but the output layer, in numpy: (cols, activations).
 
         The first layer multiplies only the input columns the batch sets,
         ``x[:, cols] @ W0[cols]``: MiniProc observations set about 21 of 405
         cells. Skipping the zero terms changes the rounding of the sum, so a
         row's output depends, by rounding, on the other rows of its batch.
+        The activations are ``x[:, cols]`` and each layer's tanh output. A
+        one-layer network's only layer is this first layer, without tanh.
         """
-        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        self._check_input(h)
-        last_hidden = None
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.shape[-1] != self.sizes[0]:
+            raise DimensionError(
+                f"layer 0 expects input width {self.sizes[0]}, got {x.shape[-1]}"
+            )
+        cols = np.flatnonzero(x.any(axis=0))   # the columns some row sets
+        acts = [x[:, cols]]
         n = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if i == 0:
-                cols = _set_columns(h)
-                h = h[:, cols] @ w.data[cols] + b.data
-            else:
-                h = h @ w.data + b.data
-            if i < n - 1:
-                h = np.tanh(h)
-                last_hidden = h
-        if not np.isfinite(h).all():
+        for i in range(max(n - 1, 1)):
+            w = self.weights[i].data
+            h = acts[-1] @ (w[cols] if i == 0 else w) + self.biases[i].data
+            acts.append(np.tanh(h) if i < n - 1 else h)
+        return cols, acts
+
+    def forward(self, x, return_hidden: bool = False):
+        """Graph-building forward of an ndarray, or a Tensor off the tape, of
+        shape (B, in); bit-identical to forward_np(). ``_stack`` enters the
+        tape as one node, and the output layer after it as two ordinary ops.
+        """
+        if isinstance(x, Tensor):
+            if x.requires_grad:
+                raise ContractError("Mlp.forward: the input must not need a gradient")
+            x = x.data
+        cols, acts = self._stack(x)
+        n = len(self.weights)
+
+        def backward(g):
+            # the per-layer ops' arithmetic (tanh, add, matmul), so the
+            # gradients equal theirs bit for bit
+            for i in reversed(range(len(acts) - 1)):
+                w, b = self.weights[i], self.biases[i]
+                if i < n - 1:
+                    g = g * (1.0 - acts[i + 1] * acts[i + 1])
+                b._accumulate(g.sum(axis=0))
+                if i == 0:
+                    if w.grad is None:
+                        w.grad = np.zeros_like(w.data)
+                    w.grad[cols] += acts[0].T @ g
+                else:
+                    w._accumulate(acts[i].T @ g)
+                    g = g @ w.data.T
+
+        h = ad.node(acts[-1], self.parameters[:2 * (len(acts) - 1)], backward)
+        if n == 1:
+            return (h, None) if return_hidden else h
+        out = h @ self.weights[-1] + self.biases[-1]
+        return (out, h) if return_hidden else out
+
+    def forward_np(self, x: np.ndarray, return_hidden: bool = False):
+        """Raw-numpy forward without the tape; bit-identical to forward()."""
+        _, acts = self._stack(x)
+        h = acts[-1] if len(self.weights) > 1 else None
+        out = acts[-1] if h is None else h @ self.weights[-1].data + self.biases[-1].data
+        if not np.isfinite(out).all():
             raise ContractError("forward_np produced non-finite output")
-        if return_hidden:
-            return h, last_hidden
-        return h
+        return (out, h) if return_hidden else out
 
     def get_arrays(self) -> list[np.ndarray]:
         return [p.data.copy() for p in self.parameters]
@@ -140,11 +142,17 @@ def sample_categorical_batch(probs: np.ndarray, rng: np.random.Generator) -> np.
     """One index per row of a batch of probability vectors; reproducible given rng."""
     p = np.asarray(probs, dtype=np.float64)
     totals = p.sum(axis=-1, keepdims=True)
-    if (totals <= 0.0).any() or not np.isfinite(totals).all():
+    if not 0.0 < totals.min() <= totals.max() < np.inf:    # NaN fails too
         raise ContractError("sample_categorical: degenerate distribution")
     cdf = np.cumsum(p / totals, axis=-1)
-    u = rng.random(p.shape[0])[:, None]
-    return (u < cdf).argmax(axis=-1)
+    below = rng.random(p.shape[0])[:, None] < cdf
+    drawn = below.argmax(axis=-1)
+    if np.count_nonzero(below[:, -1]) < p.shape[0]:
+        # cdf[-1] rounded to just under 1 and a draw is above it: that row
+        # takes its last action with positive probability
+        fell = ~below[:, -1]
+        drawn[fell] = p.shape[-1] - 1 - (p[fell, ::-1] > 0).argmax(axis=-1)
+    return drawn
 
 
 @dataclass

@@ -85,7 +85,6 @@ class RolloutBuffer:
 class GaeOutput:
     advantages: np.ndarray
     returns: np.ndarray
-    normalized: bool
 
 
 @dataclass
@@ -178,7 +177,7 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, gae_lambda: float,
         adv = (adv - adv.mean()) / (adv.std() + ADV_EPS)
     if not np.isfinite(adv).all():
         raise ContractError("GAE produced non-finite advantages")
-    return GaeOutput(adv, returns, norm_adv)
+    return GaeOutput(adv, returns)
 
 
 def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,

@@ -375,7 +375,7 @@ def test_gradient_masking():
     orch = Orchestra(ckpts)
     ppo_cfg = PpoConfig(num_steps=4, num_envs=1, num_minibatches=1,
                         update_epochs=1, target_kl=np.inf)
-    gae = GaeOutput(rng.standard_normal((4, 1)), rng.random((4, 1)), False)
+    gae = GaeOutput(rng.standard_normal((4, 1)), rng.random((4, 1)))
 
     # flag on: exactly the activated checkpoint gets gradient
     hop_cfg = HopConfig(checkpoint_gradients=True)

@@ -676,7 +676,7 @@ def test_gradient_routing_respects_the_stored_bitmask():
     # checkpoint 1 active on rows 0-1, checkpoint 2 never active
     buffer = _crafted_buffer(learner, orch, hop_cfg,
                              [[1, 0], [1, 0], [0, 0], [0, 0]], rng)
-    gae = GaeOutput(rng.standard_normal((4, 1)), rng.random((4, 1)), False)
+    gae = GaeOutput(rng.standard_normal((4, 1)), rng.random((4, 1)))
     for c in orch.checkpoints:
         c.opt = Adam(c.actor.parameters, 0.0)
     masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
@@ -703,7 +703,7 @@ def test_checkpoint_inactive_in_a_minibatch_keeps_its_state():
 
     def update(bitmasks):
         buffer = _crafted_buffer(learner, orch, hop_cfg, bitmasks, rng)
-        gae = GaeOutput(rng.standard_normal((4, 1)), rng.random((4, 1)), False)
+        gae = GaeOutput(rng.standard_normal((4, 1)), rng.random((4, 1)))
         masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg,
                              hop_cfg, *opts, np.random.default_rng(1))
 
@@ -734,8 +734,7 @@ def test_bitmask_length_mismatch_is_rejected():
                              [[1], [0], [0], [0]], rng)
     orch.checkpoints.append(orch.checkpoints[0])  # M grew after collection
     with pytest.raises(ContractError):
-        masked_policy_update(buffer, GaeOutput(np.zeros((4, 1)),
-                                               np.zeros((4, 1)), False),
+        masked_policy_update(buffer, GaeOutput(np.zeros((4, 1)), np.zeros((4, 1))),
                              learner, critic, orch, ppo_cfg, hop_cfg,
                              Adam(learner.parameters, 0.0),
                              Adam(critic.parameters, 0.0),

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from orchestra import autodiff as ad
 from orchestra.autodiff import Tensor, softmax_np
 from orchestra.errors import ContractError, DimensionError
 from orchestra.nn import (Adam, Mlp, load_mlp_arrays, load_params,
                           mlp_named_arrays, sample_categorical_batch,
                           save_params)
+from orchestra.pnn import PnnStack
+
+from conftest import fd_gradient, max_rel_error
 
 
 def sample_categorical(probs, rng) -> int:
@@ -70,6 +74,44 @@ def test_sample_categorical_uniform_frequencies():
     draws = sample_categorical_batch(np.tile(np.full(4, 0.25), (100_000, 1)), rng)
     freqs = np.bincount(draws, minlength=4) / 100_000
     assert np.abs(freqs - 0.25).max() < 0.01
+
+
+class _FixedDraws:
+    """A generator stand-in whose random(n) returns n copies of one value."""
+
+    def __init__(self, u):
+        self.u = u
+        self.calls = []
+
+    def random(self, n):
+        self.calls.append(n)
+        return np.full(n, self.u)
+
+
+def test_sample_categorical_draw_above_the_rounded_cdf_takes_the_last_action():
+    top = np.nextafter(1.0, 0.0)
+    p = np.full((1, 10), 0.1)
+    assert np.cumsum(p / p.sum(axis=-1, keepdims=True))[-1] <= top  # rounds below 1
+    rng = _FixedDraws(top)
+    assert sample_categorical_batch(p, rng)[0] == 9
+    assert rng.calls == [1]
+    # in a batch, only the row whose cdf rounds below the draw falls through,
+    # and trailing actions without probability are never taken
+    batch = np.zeros((2, 13))
+    batch[0, :10] = 0.1
+    batch[1, :2] = 0.5
+    assert sample_categorical_batch(batch, _FixedDraws(top)).tolist() == [9, 1]
+
+
+def test_sample_categorical_below_the_last_cdf_value_takes_the_first_crossing():
+    rng = np.random.default_rng(4)
+    p = rng.random((2000, 8)) * (rng.random((2000, 8)) < 0.7)
+    p[:, 2] += 0.01
+    u = np.random.default_rng(5).random(2000)
+    cdf = np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)
+    drawn = sample_categorical_batch(p, np.random.default_rng(5))
+    assert np.array_equal(drawn, (u[:, None] < cdf).argmax(axis=-1))
+    assert (p[np.arange(2000), drawn] > 0).all()
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged(rng):
@@ -156,3 +198,91 @@ def test_dense_input_gives_the_plain_product(rng):
     x = rng.normal(size=(6, 5))
     assert np.array_equal(net.forward_np(x), _plain_forward(net, x))
     assert np.array_equal(net.forward(Tensor(x)).data, _plain_forward(net, x))
+
+
+# --- the taped stack node -----------------------------------------------------------
+
+
+def _reference_hidden(net, x):
+    """The layers before net's output layer as a per-layer graph of autodiff
+    ops over copies of its parameters: (cols, hidden, leaves). The first
+    layer multiplies ``x[:, cols]`` by a leaf that holds ``W0[cols]``."""
+    cols = np.flatnonzero(x.any(axis=0))
+    leaves = [Tensor(p.data, requires_grad=True) for p in net.parameters]
+    leaves[0] = Tensor(net.weights[0].data[cols], requires_grad=True)
+    h = Tensor(x[:, cols])
+    for w, b in zip(leaves[:-2:2], leaves[1:-2:2]):
+        h = (h @ w + b).tanh()
+    return cols, h, leaves
+
+
+def _reference_gradients(net, cols, leaves):
+    """The leaves' gradients, W0's written into rows cols of a zero array."""
+    grads = [leaf.grad for leaf in leaves]
+    grads[0] = np.zeros_like(net.weights[0].data)
+    grads[0][cols] += leaves[0].grad
+    return grads
+
+
+@pytest.mark.parametrize("rows", [1, 16, 512])
+def test_forward_gradients_equal_a_per_layer_graph(rows):
+    rng = np.random.default_rng(rows)
+    net = Mlp([60, 16, 16, 5], rng)
+    for x in (_binary_batch(rng, rows), np.zeros((rows, 60)), rng.normal(size=(rows, 60))):
+        y = Tensor(rng.normal(size=(rows, 5)))
+        ad.zero_grads(net.parameters)
+        ad.backward((net.forward(x) - y).square().mean())
+        cols, h, leaves = _reference_hidden(net, x)
+        ad.backward((h @ leaves[-2] + leaves[-1] - y).square().mean())
+        want = _reference_gradients(net, cols, leaves)
+        for p, g in zip(net.parameters, want, strict=True):
+            assert np.array_equal(p.grad, g)
+
+
+def test_pnn_graph_gradients_equal_a_per_layer_graph():
+    rng = np.random.default_rng(5)
+    stack = PnnStack(60, 5, 16, 1e-3, rng)
+    stack.add_column("a")
+    stack.add_column("b")
+    adapter = stack.adapters[("actor", 0, 1)]
+    adapter.weight.data = rng.normal(size=(16, 16))
+    adapter.bias.data = rng.normal(size=16)
+    x = _binary_batch(rng, 64)
+    y = Tensor(rng.normal(size=(64, 5)))
+    out, extras = stack._net_forward_graph(1, "actor", x)
+    ad.backward((out - y).square().mean())
+
+    actor = stack.columns[1].actor
+    cols, h, leaves = _reference_hidden(actor, x)
+    _, src_h = stack.columns[0].actor.forward_np(x, return_hidden=True)
+    w, b = (Tensor(p.data, requires_grad=True) for p in adapter.parameters)
+    h = h + (Tensor(np.maximum(src_h, 0.0)) @ w + b)
+    ad.backward((h @ leaves[-2] + leaves[-1] - y).square().mean())
+    want = _reference_gradients(actor, cols, leaves) + [w.grad, b.grad]
+    for p, g in zip(actor.parameters + extras, want, strict=True):
+        assert np.array_equal(p.grad, g)
+    assert all(p.grad is None for p in stack.columns[0].actor.parameters)
+
+
+def test_one_layer_network_on_sparse_input():
+    rng = np.random.default_rng(8)
+    net = Mlp([40, 3], rng)
+    x = _binary_batch(rng, 12, width=40, density=0.1)
+    x[:, [3, 17, 29]] = 0.0
+    y = rng.normal(size=(12, 3))
+    out, hidden = net.forward(Tensor(x), return_hidden=True)
+    assert hidden is None
+    assert np.array_equal(out.data, net.forward_np(x))
+    ad.backward((out - Tensor(y)).square().mean())
+    numeric = fd_gradient(lambda: float(((net.forward_np(x) - y) ** 2).mean()), net)
+    assert max_rel_error([p.grad for p in net.parameters], numeric) < 1e-4
+    assert not net.weights[0].grad[[3, 17, 29]].any()
+
+
+def test_forward_refuses_an_input_on_the_tape(rng):
+    net = Mlp([5, 4, 3], rng)
+    x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    with pytest.raises(ContractError):
+        net.forward(x)
+    with pytest.raises(ContractError):
+        net.forward(Tensor(np.ones((2, 5))) * x)

@@ -134,7 +134,7 @@ def test_zero_advantages_give_zero_actor_gradient():
     cfg = tiny_cfg(update_epochs=1, num_minibatches=1, ent_coef=0.0)
     actor, critic, buffer = _collected(cfg)
     gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
-    gae = GaeOutput(np.zeros_like(gae.advantages), gae.returns, False)
+    gae = GaeOutput(np.zeros_like(gae.advantages), gae.returns)
     before = actor.get_arrays()
     ppo_update(buffer, gae, actor, critic, cfg,
                Adam(actor.parameters, 0.0),  # lr 0: inspect grads via movement
@@ -162,7 +162,7 @@ def test_clipped_branch_gradient_matches_hand_computation():
         logprobs=np.array([[logp[action] - np.log(1.5)]]),  # forces ratio 1.5
         values=np.zeros((1, 1)), bootstrap=np.zeros(1), aux=[[None]],
     )
-    gae = GaeOutput(np.ones((1, 1)), np.zeros((1, 1)), False)
+    gae = GaeOutput(np.ones((1, 1)), np.zeros((1, 1)))
     ppo_update(buffer, gae, actor, critic, cfg,
                Adam(actor.parameters, 0.0), Adam(critic.parameters, 0.0),
                np.random.default_rng(1))
@@ -189,7 +189,7 @@ def test_clipped_value_loss_takes_the_larger_error(target_offset, unclipped_wins
         logprobs=ad.log_softmax_np(actor.forward_np(obs[0]))[:, :1],
         values=np.array([[v - 0.5]]), bootstrap=np.zeros(1), aux=[[None]],
     )
-    gae = GaeOutput(np.zeros((1, 1)), np.array([[target]]), False)
+    gae = GaeOutput(np.zeros((1, 1)), np.array([[target]]))
     stats = ppo_update(buffer, gae, actor, critic, cfg,
                        Adam(actor.parameters, 0.0), Adam(critic.parameters, 0.0),
                        np.random.default_rng(1))
