@@ -14,18 +14,34 @@ import numpy as np
 from .errors import ContractError
 
 
+ALIGN = 64      # bytes; a parameter's first element sits on this boundary
+
+
+def aligned_copy(a) -> np.ndarray:
+    """A C-contiguous float64 copy of ``a`` that starts on an ALIGN-byte
+    boundary. A one-row forward is measurably slower on weights that do not."""
+    a = np.asarray(a, dtype=np.float64)
+    buf = np.empty(a.nbytes + ALIGN, dtype=np.uint8)
+    start = -buf.ctypes.data % ALIGN
+    out = buf[start:start + a.nbytes].view(np.float64).reshape(a.shape)
+    out[...] = a
+    return out
+
+
 class Tensor:
     """A float64 ndarray plus an optional gradient and backward closure.
 
     Leaf tensors (parameters) carry ``requires_grad=True`` and accumulate
-    into ``grad`` during backward(). Interior nodes hold references to their
-    parents so the tape can be replayed in reverse topological order.
+    into ``grad`` during backward(). A leaf made or unpickled that way holds
+    its own ``aligned_copy`` of its data; updating it in place keeps it there.
+    Interior nodes hold references to their parents so the tape can be
+    replayed in reverse topological order.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = aligned_copy(data) if requires_grad else np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._parents: tuple = ()
@@ -36,7 +52,8 @@ class Tensor:
         return (self.data, self.requires_grad)
 
     def __setstate__(self, state):
-        self.data, self.requires_grad = state
+        data, self.requires_grad = state
+        self.data = aligned_copy(data) if self.requires_grad else data
         self.grad = None
         self._parents = ()
         self._backward = None

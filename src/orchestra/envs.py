@@ -13,6 +13,7 @@ hazard motion use no runtime randomness.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -62,12 +63,15 @@ class HazardTrack:
 
 @dataclass(frozen=True)
 class Layout:
-    walls: np.ndarray  # bool (9, 9)
+    walls: np.ndarray  # bool (9, 9), read-only: a layout is shared by every env of its level
     start: tuple[int, int]
     goal: tuple[int, int]
     cues: tuple[tuple[int, int], ...]
     static_hazards: tuple[tuple[int, int], ...]
     tracks: tuple[HazardTrack, ...]
+
+    def __post_init__(self):
+        self.walls.setflags(write=False)
 
 
 @dataclass
@@ -255,8 +259,10 @@ def _gen_dodger(rng) -> Optional[Layout]:
 _GENERATORS = {"runner": _gen_runner, "climber": _gen_climber, "dodger": _gen_dodger}
 
 
+@functools.cache
 def generate_layout(spec: LevelSpec) -> Layout:
-    """Deterministic layout for (family, level_seed); reroll until solvable."""
+    """Deterministic layout for (family, level_seed); reroll until solvable.
+    Generated once per level, and the same object is returned after."""
     if spec.family not in _GENERATORS:
         raise ConfigError(f"unknown family {spec.family!r}; expected one of {FAMILIES}")
     rng = _level_rng(spec)

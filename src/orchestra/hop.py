@@ -24,7 +24,8 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError, require_positive
 from .nn import Adam, Mlp, load_params, mlp_named_arrays, load_mlp_arrays, save_params
 from .envs import LevelSpec
-from .ppo import ActionSource, GaeOutput, PpoConfig, RolloutBuffer, UpdateStats, play_episode, ppo_update
+from .ppo import (ActionSource, GaeOutput, PpoConfig, RolloutBuffer, UpdateStats,
+                  play_episodes, ppo_update, replay)
 
 
 @dataclass
@@ -406,17 +407,20 @@ def checkpoint_now(learner: Mlp, orchestra: Orchestra,
     episodes whose raw return beats the reward limit, and append the
     checkpoint to the orchestra. Returns None when every episode failed.
 
+    The episodes are played side by side, keeping only their actions; each
+    one that passes the gate is replayed for its observations, so one
+    episode's states are held at a time.
+
     Mutates only the orchestra and the rng passed in; the learner and the
     training environments are untouched.
     """
     snapshot = learner.clone()
     source = JoinedSource(learner, orchestra, hop_cfg)
     trusted = TrustedStateSet(hop_cfg.trusted_cap, rng)
-    for ep in range(hop_cfg.eval_episodes):
-        states, total, _ = play_episode(source, level_specs[ep % len(level_specs)],
-                                        max_eval_ep_len, rng)
-        if total > hop_cfg.reward_limit:
-            trusted.add_episode(states, total)
+    specs = [level_specs[ep % len(level_specs)] for ep in range(hop_cfg.eval_episodes)]
+    for spec, ep in zip(specs, play_episodes(source, specs, max_eval_ep_len, rng)):
+        if ep.total > hop_cfg.reward_limit:
+            trusted.add_episode(replay(spec, max_eval_ep_len, ep.actions), ep.total)
     if len(trusted) == 0:
         return None
     ckpt = CheckpointPolicy(

@@ -128,13 +128,13 @@ class Mlp:
         for p, a in zip(self.parameters, arrays, strict=True):
             if p.data.shape != a.shape:
                 raise DimensionError(f"parameter shape {p.data.shape} != {a.shape}")
-            p.data = np.array(a, dtype=np.float64)
+            np.copyto(p.data, a)
 
     def clone(self) -> "Mlp":
         dup = Mlp.__new__(Mlp)
         dup.sizes = list(self.sizes)
-        dup.weights = [Tensor(w.data.copy(), requires_grad=True) for w in self.weights]
-        dup.biases = [Tensor(b.data.copy(), requires_grad=True) for b in self.biases]
+        dup.weights = [Tensor(w.data, requires_grad=True) for w in self.weights]
+        dup.biases = [Tensor(b.data, requires_grad=True) for b in self.biases]
         return dup
 
 
@@ -202,7 +202,7 @@ class Adam:
             np.sqrt(denom, out=denom)
             denom += self.epsilon
             step /= denom
-            p.data = p.data - step
+            np.subtract(p.data, step, out=p.data)   # the weights never move
 
 
 def clip_grad_norm(params: Sequence[Tensor], max_norm: float) -> float:

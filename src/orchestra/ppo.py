@@ -293,33 +293,62 @@ class EvalResult:
     returns: list[float]
 
 
-def play_episode(source: ActionSource, spec: LevelSpec, max_len: int,
-                 rng: np.random.Generator) -> tuple[list[np.ndarray], float, int]:
-    """One sampled-action episode on a fresh level, acting one row at a time:
-    the observations it acted on, its cumulative env reward, and its steps."""
+@dataclass
+class Episode:
+    """One played episode: the actions it sampled and its cumulative env reward."""
+    actions: list[int]
+    total: float = 0.0
+
+    @property
+    def steps(self) -> int:
+        return len(self.actions)
+
+
+def play_episodes(source: ActionSource, specs: Sequence[LevelSpec], max_len: int,
+                  rng: np.random.Generator) -> list[Episode]:
+    """One sampled-action episode on a fresh level per entry of ``specs``,
+    played side by side.
+
+    Each step makes one ``source.act`` over the episodes still running, in
+    ``specs`` order, and an episode leaves the batch when it ends. An act
+    draws one number per row, so a one-level call draws what acting one row
+    at a time draws.
+    """
+    envs = [EnvInstance(spec, max_len) for spec in specs]
+    episodes = [Episode([]) for _ in specs]
+    obs = {i: env.observation() for i, env in enumerate(envs)}
+    while obs:
+        actions, _, _ = source.act(np.stack(list(obs.values())), rng)
+        for i, a in zip(list(obs), actions.tolist()):
+            result = envs[i].step(a)
+            episodes[i].actions.append(a)
+            episodes[i].total += result.reward
+            if result.done:
+                del obs[i]
+            else:
+                obs[i] = result.observation
+    return episodes
+
+
+def replay(spec: LevelSpec, max_len: int, actions: Sequence[int]) -> list[np.ndarray]:
+    """The observations that an episode of ``actions`` on a fresh level acted
+    on. A level has no runtime randomness, so they are the ones
+    ``play_episodes`` acted on when it sampled those actions."""
     env = EnvInstance(spec, max_len)
-    states = []
-    total = 0.0
-    while not env.done:
-        obs = env.observation()
-        states.append(obs)
-        actions, _, _ = source.act(obs[None, :], rng)
-        total += env.step(int(actions[0])).reward
-    return states, total, env.episode_steps
+    return [env.observation()] + [env.step(a).observation for a in actions[:-1]]
 
 
 def evaluate_policy(source: ActionSource, level_specs: Sequence[LevelSpec],
                     episodes: int, max_eval_ep_len: int,
                     rng: np.random.Generator) -> EvalResult:
-    """Run sampled-action evaluation episodes over a level rotation.
+    """Run sampled-action evaluation episodes over a level rotation, side by
+    side (``play_episodes``).
 
     Per-episode score is cumulative env reward minus 0.01 per step taken.
     """
-    returns = []
-    for ep in range(episodes):
-        _, total, steps = play_episode(source, level_specs[ep % len(level_specs)],
-                                       max_eval_ep_len, rng)
-        returns.append(total - EVAL_STEP_PENALTY * steps)
+    specs = [level_specs[ep % len(level_specs)] for ep in range(episodes)]
+    returns = [ep.total - EVAL_STEP_PENALTY * ep.steps
+               for ep in play_episodes(source, specs, max_eval_ep_len, rng)]
     arr = np.asarray(returns)
     stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return EvalResult(float(arr.mean()), stderr, returns)

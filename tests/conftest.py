@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from orchestra.nn import Mlp
+from orchestra.autodiff import ALIGN
+from orchestra.nn import Adam, Mlp
 
 
 @pytest.fixture
@@ -35,3 +36,19 @@ def max_rel_error(analytic, numeric):
         denom = np.maximum(np.abs(n), 1e-6)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+def assert_parameters_stay_aligned(params, seed: int = 0):
+    """Every parameter starts on an ALIGN-byte boundary and an Adam step
+    updates it where it is."""
+    params = list(params)
+    assert params
+    assert all(p.data.ctypes.data % ALIGN == 0 for p in params)
+    before = [(p.data, p.data.copy()) for p in params]
+    rng = np.random.default_rng(seed)
+    for p in params:
+        p.grad = rng.normal(size=p.data.shape)
+    Adam(params, 1e-2).step()
+    for p, (data, old) in zip(params, before):
+        assert p.data is data
+        assert not np.array_equal(p.data, old)

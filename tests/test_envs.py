@@ -189,3 +189,13 @@ def test_render_shape_and_markers():
     lines = text.splitlines()
     assert len(lines) == GRID and all(len(l) == GRID for l in lines)
     assert text.count("A") == 1 and text.count("G") == 1
+
+
+def test_layouts_are_generated_once_per_level_and_read_only():
+    spec = LevelSpec("climber", 4)
+    layout = generate_layout(spec)
+    assert generate_layout(LevelSpec("climber", 4)) is layout
+    assert EnvInstance(spec).layout is layout
+    assert generate_layout(LevelSpec("climber", 5)) is not layout
+    with pytest.raises(ValueError):
+        layout.walls[0, 0] = not layout.walls[0, 0]

@@ -18,6 +18,8 @@ from orchestra.harness import (MetricsReport, MetricsRow, RunConfig, Trainer,
 from orchestra.hop import HopConfig
 from orchestra.ppo import PpoConfig
 
+from conftest import assert_parameters_stay_aligned
+
 
 def tiny_run_config(algorithm="ppo", seed=1, **overrides):
     """Fast end-to-end setting: batch 16, three 32-step phases."""
@@ -216,6 +218,29 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, algorithm):
     for name in ("updates.jsonl", "metrics.csv", "summary.json"):
         assert (part_dir / name).read_bytes() == \
                (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_resumed_parameters_are_aligned(tmp_path):
+    cfg = tiny_run_config("pnn")
+    Trainer(cfg, tmp_path / "pnn").run(max_iterations=4)    # through phase 2
+    trainer = load_trainer(tmp_path / "pnn")
+    assert len(trainer.stack.columns) == 2
+    adapters = [p for adp in trainer.stack.adapters.values() for p in adp.parameters]
+    networks = [n for c in trainer.stack.columns for n in (c.actor, c.critic)]
+    assert_parameters_stay_aligned(adapters + [p for n in networks for p in n.parameters])
+    # the optimizers hold the restored parameters themselves
+    assert trainer.stack.columns[1].actor_opt.params == trainer.stack.columns[1].actor.parameters
+
+    cfg = tiny_run_config("hop")
+    cfg.hop.reward_limit = -100.0
+    Trainer(cfg, tmp_path / "hop").run(max_iterations=2)
+    trainer = load_trainer(tmp_path / "hop")
+    assert len(trainer.orchestra) == 1
+    assert trainer.actor_opt.params == trainer.actor.parameters
+    snapshot = trainer.orchestra.checkpoints[0]
+    assert snapshot.opt.params == snapshot.actor.parameters
+    assert_parameters_stay_aligned(trainer.actor.parameters + trainer.critic.parameters
+                                   + snapshot.actor.parameters)
 
 
 @pytest.mark.parametrize("stage", ["_evaluate", "_persist"])

@@ -18,6 +18,8 @@ from orchestra.nn import Adam, Mlp, save_params
 from orchestra.ppo import (GaeOutput, PpoConfig, RolloutBuffer,
                            collect_rollout, compute_gae, ppo_update)
 
+from conftest import assert_parameters_stay_aligned
+
 
 # --- similarity and activation ------------------------------------------------
 
@@ -760,6 +762,7 @@ def test_checkpoint_bundle_round_trip(tmp_path, layout):
     assert loaded.index == 3 and loaded.created_step == 4096
     q = rng.random((2, OBS_DIM))
     assert np.array_equal(ckpt.actor.forward_np(q), loaded.actor.forward_np(q))
+    assert_parameters_stay_aligned(loaded.actor.parameters)
     assert np.array_equal(ckpt.trusted.matrix, loaded.trusted.matrix)
     assert ckpt.trusted.episode_returns == loaded.trusted.episode_returns
     a = ckpt.trusted.find_most_similar(q[0])

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from orchestra.nn import (Adam, Mlp, load_mlp_arrays, load_params,
                           save_params)
 from orchestra.pnn import PnnStack
 
-from conftest import fd_gradient, max_rel_error
+from conftest import assert_parameters_stay_aligned, fd_gradient, max_rel_error
 
 
 def sample_categorical(probs, rng) -> int:
@@ -286,3 +288,39 @@ def test_forward_refuses_an_input_on_the_tape(rng):
         net.forward(x)
     with pytest.raises(ContractError):
         net.forward(Tensor(np.ones((2, 5))) * x)
+
+
+def test_parameters_stay_aligned_after_construction_clone_and_set_arrays(tmp_path):
+    rng = np.random.default_rng(6)
+    net = Mlp([405, 256, 256, 8], rng)
+    assert_parameters_stay_aligned(net.parameters)
+    assert_parameters_stay_aligned(net.clone().parameters)
+    # load_params hands out arrays at the blob's offsets
+    save_params(tmp_path / "net.blob", mlp_named_arrays(Mlp([405, 256, 256, 8], rng)))
+    loaded = load_params(tmp_path / "net.blob")
+    data = [p.data for p in net.parameters]
+    load_mlp_arrays(net, loaded)
+    assert all(p.data is d for p, d in zip(net.parameters, data))
+    assert all(np.array_equal(p.data, a) for p, a in
+               zip(net.parameters, mlp_named_arrays(net).values()))
+    assert_parameters_stay_aligned(net.parameters)
+    for small in (Mlp([4, 3, 2], rng), Mlp([3, 3], rng)):
+        assert_parameters_stay_aligned(small.parameters)
+
+
+def test_pnn_adapters_stay_aligned():
+    stack = PnnStack(20, 4, 8, 1e-3, np.random.default_rng(2))
+    for task in ("a", "b", "c"):
+        stack.add_column(task)
+    adapters = [p for adp in stack.adapters.values() for p in adp.parameters]
+    assert len(adapters) == 12
+    assert_parameters_stay_aligned(adapters)
+    assert_parameters_stay_aligned(stack.columns[2].actor.parameters)
+
+
+def test_unpickled_parameters_are_aligned_copies():
+    net = Mlp([10, 7, 3], np.random.default_rng(1))
+    restored = pickle.loads(pickle.dumps(net))
+    for p, q in zip(net.parameters, restored.parameters):
+        assert np.array_equal(p.data, q.data) and q.requires_grad
+    assert_parameters_stay_aligned(restored.parameters)

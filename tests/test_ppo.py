@@ -3,7 +3,7 @@ import pytest
 
 from orchestra import autodiff as ad
 from orchestra.autodiff import Tensor
-from orchestra.envs import LevelSpec, N_ACTIONS, OBS_DIM, VecEnv
+from orchestra.envs import EnvInstance, LevelSpec, N_ACTIONS, OBS_DIM, VecEnv
 
 # hand-verified optimal route through the (runner, 7) layout: reaches the
 # goal in 12 steps for exactly +10 reward (no cues on this path)
@@ -11,7 +11,8 @@ RUNNER7_SCRIPT = [0, 0, 3, 3, 3, 0, 3, 0, 3, 3, 3, 3]
 from orchestra.nn import Adam, Mlp
 from orchestra.ppo import (EVAL_STEP_PENALTY, GaeOutput, LearnerSource,
                            PpoConfig, RolloutBuffer, collect_rollout,
-                           compute_gae, evaluate_policy, ppo_update)
+                           compute_gae, evaluate_policy, play_episodes,
+                           ppo_update, replay)
 
 
 def tiny_cfg(**overrides) -> PpoConfig:
@@ -293,3 +294,80 @@ def test_random_policy_on_dodger_scores_near_zero():
     r = evaluate_policy(LearnerSource(actor), specs, 20, 100,
                         np.random.default_rng(12))
     assert -1.0 <= r.mean_return < 6.0
+
+
+def _one_row_episode(source, spec, max_len, rng):
+    """Reference oracle: an episode acted one row at a time, each
+    observation built by the env before the act. (raw return, steps)"""
+    env = EnvInstance(spec, max_len)
+    total = 0.0
+    while not env.done:
+        actions, _, _ = source.act(env.observation()[None, :], rng)
+        total += env.step(int(actions[0])).reward
+    return total, env.episode_steps
+
+
+@pytest.mark.parametrize("family,level_seed", [("runner", 3), ("climber", 2), ("dodger", 1)])
+def test_one_episode_evaluation_equals_a_one_row_loop(family, level_seed):
+    actor, _ = make_nets(level_seed)
+    spec = LevelSpec(family, level_seed)
+    for seed in range(4):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        result = evaluate_policy(LearnerSource(actor), [spec], 1, 40, rng)
+        total, steps = _one_row_episode(LearnerSource(actor), spec, 40, ref_rng)
+        assert result.returns == [total - EVAL_STEP_PENALTY * steps]
+        assert rng.random() == ref_rng.random()     # the same draws were taken
+
+
+class _SpySource(LearnerSource):
+    """Records every batch of observations it acts on, and its actions."""
+
+    def __init__(self, actor):
+        super().__init__(actor)
+        self.batches = []
+        self.actions = []
+
+    def act(self, obs_batch, rng):
+        out = super().act(obs_batch, rng)
+        self.batches.append(obs_batch.copy())
+        self.actions.append(out[0].tolist())
+        return out
+
+
+def _spied_episodes(specs, max_len=30, seed=8):
+    spy = _SpySource(make_nets(5)[0])
+    return spy, play_episodes(spy, specs, max_len, np.random.default_rng(seed))
+
+
+def test_lockstep_batches_hold_the_live_episodes():
+    specs = [LevelSpec("dodger", s) for s in (1, 2, 3, 1, 2, 3, 1)]
+    spy, episodes = _spied_episodes(specs)
+    steps = [ep.steps for ep in episodes]
+    assert len(set(steps)) > 1          # episodes end at different steps
+    sizes = [len(b) for b in spy.batches]
+    assert sizes == [sum(n > t for n in steps) for t in range(max(steps))]
+    assert sizes == sorted(sizes, reverse=True)
+
+
+def test_evaluation_rotates_levels_by_episode_index():
+    levels = [LevelSpec("runner", s) for s in (1, 2, 3)]
+    spy = _SpySource(make_nets(5)[0])
+    result = evaluate_policy(spy, levels, 7, 30, np.random.default_rng(3))
+    assert len(result.returns) == 7
+    first = [EnvInstance(levels[ep % 3]).observation() for ep in range(7)]
+    assert np.array_equal(spy.batches[0], np.stack(first))
+
+
+def test_replay_gives_the_observations_the_runner_acted_on():
+    specs = [LevelSpec(f, s) for f in ("runner", "climber", "dodger") for s in (1, 2)]
+    spy, episodes = _spied_episodes(specs, max_len=25)
+    acted = [[] for _ in specs]
+    sampled = [[] for _ in specs]
+    for t, (batch, actions) in enumerate(zip(spy.batches, spy.actions)):
+        live = [i for i, ep in enumerate(episodes) if ep.steps > t]
+        for i, row, a in zip(live, batch, actions, strict=True):
+            acted[i].append(row)
+            sampled[i].append(a)
+    for spec, ep, rows, actions in zip(specs, episodes, acted, sampled):
+        assert ep.actions == actions        # each row's action went to its episode
+        assert np.array_equal(np.stack(replay(spec, 25, ep.actions)), np.stack(rows))
