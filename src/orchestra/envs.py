@@ -280,14 +280,10 @@ class EnvInstance:
         self.spec = spec
         self.max_ep_length = max_ep_length
         self.layout = generate_layout(spec)
-        self.reset()
-
-    def reset(self) -> np.ndarray:
         self.agent = self.layout.start
         self.episode_steps = 0
         self.done = False
         self.remaining_cues = set(self.layout.cues)
-        return self.observation()
 
     def _hazard_cells(self) -> set:
         cells = set(self.layout.static_hazards)
@@ -308,7 +304,7 @@ class EnvInstance:
 
     def step(self, action: int) -> StepResult:
         if self.done:
-            raise ContractError("step() called on a finished episode; reset() first")
+            raise ContractError("step() called on a finished episode")
         if not 0 <= action < N_ACTIONS:
             raise ContractError(f"action {action} outside 0..{N_ACTIONS - 1}")
         family = self.spec.family
@@ -349,29 +345,6 @@ class EnvInstance:
         if self.episode_steps >= self.max_ep_length:
             self.done = True
         return StepResult(self.observation(), reward, self.done, self.episode_steps)
-
-    def render(self) -> str:
-        """Debug text dump, one character per cell."""
-        hazards = self._hazard_cells()
-        rows = []
-        for r in range(GRID):
-            row = []
-            for c in range(GRID):
-                cell = (r, c)
-                if cell == self.agent:
-                    row.append("A")
-                elif cell == self.layout.goal:
-                    row.append("G")
-                elif cell in hazards:
-                    row.append("H")
-                elif self.layout.walls[r, c]:
-                    row.append("#")
-                elif cell in self.remaining_cues:
-                    row.append("c")
-                else:
-                    row.append(".")
-            rows.append("".join(row))
-        return "\n".join(rows)
 
 
 class VecEnv:

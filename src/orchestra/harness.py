@@ -100,7 +100,8 @@ class RunConfig:
                 raise ConfigError(f"unknown family {fam!r}")
         self.ppo.validate()
         self.hop.validate()
-        require_positive(self, "report_epoch", "eval_batch_size")
+        require_positive(self, "total_timesteps", "max_ep_length", "max_eval_ep_len",
+                         "report_epoch", "eval_batch_size")
         batch = self.ppo.batch_size
         if self.total_timesteps % 3 != 0 or (self.total_timesteps // 3) % batch != 0:
             raise ConfigError(

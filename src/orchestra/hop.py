@@ -87,13 +87,7 @@ class TrustedStateSet:
         return {**self.__dict__, "_seen": sorted(self._seen)}
 
     def __setstate__(self, state: dict):
-        # older pickles also carry unit vectors, and key _seen by each state's
-        # full bytes: a stored state's own bytes are then among the keys
-        state = {k: v for k, v in state.items() if k not in ("units", "_matrix")}
-        seen = set(state["_seen"])
-        if state["raw"] and state["raw"][0].tobytes() in seen:
-            seen = set(map(_digest, seen))
-        self.__dict__.update(state, _seen=seen)
+        self.__dict__.update(state, _seen=set(state["_seen"]))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -444,7 +438,8 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
     Checkpoint m's parameters enter the graph only on timesteps whose stored
     bitmask has bit m set (and only when checkpoint gradients are enabled);
     every other checkpoint contribution is folded in as a constant. Frozen
-    snapshots never change, so their part is the one each act stored.
+    snapshots never change, so their part is the one each act stored. Routed
+    gradients need an optimizer on every checkpoint (ContractError).
     """
     M = len(orchestra)
     records = np.concatenate(buffer.aux)
@@ -464,7 +459,6 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
         terms = index.terms(best[idx], bitmask[idx])
         routed = bitmask[idx][terms.row, terms.k - 1].astype(np.int64)
         const = np.zeros(logits.shape)
-        extra_params = []
         for k in np.unique(terms.k).tolist():
             sel = terms.k == k
             states, at = np.unique(terms.g[sel], return_inverse=True)
@@ -475,22 +469,23 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
             if routed[sel].any():
                 out = ckpt.actor.forward(Tensor(x))
                 logits = logits + Tensor(spread[1]) @ out
-                extra_params.extend(ckpt.actor.parameters)
                 out = out.data
             else:
                 out = ckpt.actor.forward_np(x)
             const += spread[0] @ out
-        return logits + Tensor(const), extra_params
+        return logits + Tensor(const)
 
     def logits_fn(idx: np.ndarray):
         logits = learner.forward(Tensor(obs_flat[idx]))
         if learner_mode or M == 0:
-            return logits, []
+            return logits
         if not route_grads:
-            return logits + Tensor(records["orchestra"][idx]), []
+            return logits + Tensor(records["orchestra"][idx])
         return routed_logits(logits, idx)
 
-    extra_opts = [c.opt for c in orchestra.checkpoints if c.opt is not None and route_grads]
+    extra_opts = [c.opt for c in orchestra.checkpoints] if route_grads else []
+    if None in extra_opts:
+        raise ContractError("routed checkpoint gradients need an optimizer on every checkpoint")
     return ppo_update(buffer, gae, learner, critic, ppo_cfg, actor_opt,
                       critic_opt, rng, logits_fn=logits_fn, extra_opts=extra_opts)
 

@@ -32,7 +32,8 @@ def init_mlp_params(
 
 
 class Mlp:
-    """A tanh-hidden multilayer perceptron over flat float64 vectors.
+    """A tanh-hidden multilayer perceptron over flat float64 vectors, with
+    at least one hidden layer.
 
     Parameters live as leaf Tensors so one network object serves both the
     graph-building forward (updates) and the raw-numpy forward (rollouts).
@@ -40,6 +41,8 @@ class Mlp:
     """
 
     def __init__(self, sizes: Sequence[int], rng: np.random.Generator):
+        if len(sizes) < 3:
+            raise DimensionError(f"an Mlp needs a hidden layer, got sizes {list(sizes)}")
         self.sizes = list(sizes)
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
@@ -61,8 +64,7 @@ class Mlp:
         ``x[:, cols] @ W0[cols]``: MiniProc observations set about 21 of 405
         cells. Skipping the zero terms changes the rounding of the sum, so a
         row's output depends, by rounding, on the other rows of its batch.
-        The activations are ``x[:, cols]`` and each layer's tanh output. A
-        one-layer network's only layer is this first layer, without tanh.
+        The activations are ``x[:, cols]`` and each layer's tanh output.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[-1] != self.sizes[0]:
@@ -71,11 +73,9 @@ class Mlp:
             )
         cols = np.flatnonzero(x.any(axis=0))   # the columns some row sets
         acts = [x[:, cols]]
-        n = len(self.weights)
-        for i in range(max(n - 1, 1)):
+        for i in range(len(self.weights) - 1):
             w = self.weights[i].data
-            h = acts[-1] @ (w[cols] if i == 0 else w) + self.biases[i].data
-            acts.append(np.tanh(h) if i < n - 1 else h)
+            acts.append(np.tanh(acts[-1] @ (w[cols] if i == 0 else w) + self.biases[i].data))
         return cols, acts
 
     def forward(self, x, return_hidden: bool = False):
@@ -88,15 +88,13 @@ class Mlp:
                 raise ContractError("Mlp.forward: the input must not need a gradient")
             x = x.data
         cols, acts = self._stack(x)
-        n = len(self.weights)
 
         def backward(g):
             # the per-layer ops' arithmetic (tanh, add, matmul), so the
             # gradients equal theirs bit for bit
             for i in reversed(range(len(acts) - 1)):
                 w, b = self.weights[i], self.biases[i]
-                if i < n - 1:
-                    g = g * (1.0 - acts[i + 1] * acts[i + 1])
+                g = g * (1.0 - acts[i + 1] * acts[i + 1])
                 b._accumulate(g.sum(axis=0))
                 if i == 0:
                     if w.grad is None:
@@ -106,17 +104,14 @@ class Mlp:
                     w._accumulate(acts[i].T @ g)
                     g = g @ w.data.T
 
-        h = ad.node(acts[-1], self.parameters[:2 * (len(acts) - 1)], backward)
-        if n == 1:
-            return (h, None) if return_hidden else h
+        h = ad.node(acts[-1], self.parameters[:-2], backward)
         out = h @ self.weights[-1] + self.biases[-1]
         return (out, h) if return_hidden else out
 
     def forward_np(self, x: np.ndarray, return_hidden: bool = False):
         """Raw-numpy forward without the tape; bit-identical to forward()."""
-        _, acts = self._stack(x)
-        h = acts[-1] if len(self.weights) > 1 else None
-        out = acts[-1] if h is None else h @ self.weights[-1].data + self.biases[-1].data
+        h = self._stack(x)[1][-1]
+        out = h @ self.weights[-1].data + self.biases[-1].data
         if not np.isfinite(out).all():
             raise ContractError("forward_np produced non-finite output")
         return (out, h) if return_hidden else out

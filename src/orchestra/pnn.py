@@ -85,6 +85,13 @@ class PnnStack:
             raise ConfigError(f"unknown task id {task_id!r}; add_column first")
         return self.task_index[task_id]
 
+    def _sources(self, col_idx: int, net: str, x: np.ndarray):
+        """Each earlier column's ``max(h, 0)`` of its last hidden layer at
+        ``x``, with the adapter that carries it into column ``col_idx``."""
+        for src in range(col_idx):
+            _, src_h = getattr(self.columns[src], net).forward_np(x, return_hidden=True)
+            yield np.maximum(src_h, 0.0), self.adapters[(net, src, col_idx)]
+
     def net_forward_np(self, task_id: str, net: str, obs: np.ndarray) -> np.ndarray:
         """Output of the task's ``net`` column ("actor" or "critic") with its
         adapters, for a batch of observations."""
@@ -94,26 +101,16 @@ class PnnStack:
         out, h = mlp.forward_np(x, return_hidden=True)
         if col_idx == 0:
             return out
-        h_aug = h.copy()
-        for src in range(col_idx):
-            src_mlp: Mlp = getattr(self.columns[src], net)
-            _, src_h = src_mlp.forward_np(x, return_hidden=True)
-            adp = self.adapters[(net, src, col_idx)]
-            h_aug += np.maximum(src_h, 0.0) @ adp.weight.data + adp.bias.data
-        return h_aug @ mlp.weights[-1].data + mlp.biases[-1].data
+        for feats, adp in self._sources(col_idx, net, x):
+            h = h + (feats @ adp.weight.data + adp.bias.data)
+        return h @ mlp.weights[-1].data + mlp.biases[-1].data
 
-    def _net_forward_graph(self, col_idx: int, net: str, x: np.ndarray):
+    def _net_forward_graph(self, col_idx: int, net: str, x: np.ndarray) -> Tensor:
         mlp: Mlp = getattr(self.columns[col_idx], net)
         _, h = mlp.forward(x, return_hidden=True)
-        extras: list[Tensor] = []
-        for src in range(col_idx):
-            src_mlp: Mlp = getattr(self.columns[src], net)
-            _, src_h = src_mlp.forward_np(x, return_hidden=True)
-            adp = self.adapters[(net, src, col_idx)]
-            h = h + (Tensor(np.maximum(src_h, 0.0)) @ adp.weight + adp.bias)
-            extras.extend(adp.parameters)
-        out = h @ mlp.weights[-1] + mlp.biases[-1]
-        return out, extras
+        for feats, adp in self._sources(col_idx, net, x):
+            h = h + (Tensor(feats) @ adp.weight + adp.bias)
+        return h @ mlp.weights[-1] + mlp.biases[-1]
 
     def forward_with_adapters(self, task_id: str, obs: np.ndarray):
         """(logits, value) for a batch of observations under the task's column."""

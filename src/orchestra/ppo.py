@@ -136,15 +136,14 @@ def collect_rollout(source: ActionSource, vecenv: VecEnv,
                     cfg: PpoConfig, rng: np.random.Generator) -> RolloutBuffer:
     """T steps of every env; ``value_fn`` maps (N, obs_dim) observations to (N, 1)."""
     T, N = cfg.num_steps, vecenv.num_envs
-    obs_dim = vecenv.observations().shape[1]
-    obs = np.empty((T, N, obs_dim))
+    cur = vecenv.observations()
+    obs = np.empty((T, N, cur.shape[1]))
     actions = np.empty((T, N), dtype=np.int64)
     rewards = np.empty((T, N))
     dones = np.empty((T, N), dtype=bool)
     logprobs = np.empty((T, N))
     values = np.empty((T, N))
     aux: list = []
-    cur = vecenv.observations()
     for t in range(T):
         obs[t] = cur
         a, lp, ax = source.act(cur, rng)
@@ -183,14 +182,17 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, gae_lambda: float,
 def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
                cfg: PpoConfig, actor_opt: Adam, critic_opt: Adam,
                rng: np.random.Generator,
-               logits_fn: Optional[Callable[[np.ndarray], tuple[Tensor, list[Tensor]]]] = None,
-               values_fn: Optional[Callable[[np.ndarray], tuple[Tensor, list[Tensor]]]] = None,
+               logits_fn: Optional[Callable[[np.ndarray], Tensor]] = None,
+               values_fn: Optional[Callable[[np.ndarray], Tensor]] = None,
                extra_opts: Sequence[Adam] = ()) -> UpdateStats:
     """Clipped-surrogate update with entropy bonus and target-KL early stop.
 
-    logits_fn(flat_indices) -> (logits Tensor, trainable params beyond the
-    learner actor's); defaults to the plain learner forward. The epoch loop
-    stops at an epoch boundary once mean approximate KL exceeds target_kl.
+    logits_fn(flat_indices) and values_fn(flat_indices) give the minibatch's
+    logits and values as Tensors; they default to the plain actor and critic
+    forwards. The optimizers name what the update trains: the parameters of
+    ``actor_opt``, ``critic_opt`` and ``extra_opts`` are zeroed, clipped and
+    stepped, in that order. The epoch loop stops at an epoch boundary once
+    mean approximate KL exceeds target_kl.
     """
     B = buffer.num_steps * buffer.num_envs
     obs_flat = buffer.obs.reshape(B, -1)
@@ -202,7 +204,12 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
 
     if logits_fn is None:
         def logits_fn(idx):
-            return actor.forward(Tensor(obs_flat[idx])), []
+            return actor.forward(Tensor(obs_flat[idx]))
+    if values_fn is None:
+        def values_fn(idx):
+            return critic.forward(Tensor(obs_flat[idx]))
+    opts = [actor_opt, critic_opt, *extra_opts]
+    params = [p for opt in opts for p in opt.params]
 
     pl_sum = vl_sum = ent_sum = kl_sum = cf_sum = gn_sum = 0.0
     n_mb = 0
@@ -212,7 +219,7 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
         epoch_kls = []
         for start in range(0, B, cfg.minibatch_size):
             idx = perm[start:start + cfg.minibatch_size]
-            logits, extra_params = logits_fn(idx)
+            logits = logits_fn(idx)
             logp_all = ad.log_softmax(logits)
             newlogp = ad.pick(logp_all, act_flat[idx])
             logratio = newlogp - Tensor(oldlogp_flat[idx])
@@ -224,12 +231,7 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
             probs = logp_all.exp()
             entropy = -(probs * logp_all).sum(axis=-1).mean()
 
-            if values_fn is None:
-                v = critic.forward(Tensor(obs_flat[idx])).reshape(-1)
-                v_extra: list[Tensor] = []
-            else:
-                v, v_extra = values_fn(idx)
-                v = v.reshape(-1)
+            v = values_fn(idx).reshape(-1)
             if cfg.clip_vloss:
                 v_old = Tensor(val_flat[idx])
                 v_clipped = v_old + ad.clip(v - v_old, -cfg.clip_coef, cfg.clip_coef)
@@ -247,17 +249,12 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
                     "ppo_update aborted: non-finite loss "
                     f"(pg={pg_loss.data}, v={v_loss.data}, ent={entropy.data})"
                 )
-            params = actor.parameters + critic.parameters + list(extra_params) + list(v_extra)
             ad.zero_grads(params)
-            for opt in extra_opts:
-                ad.zero_grads(opt.params)
             ad.backward(loss)
             gn = clip_grad_norm(params, cfg.max_grad_norm)
-            actor_opt.step()
-            critic_opt.step()
             # an optimizer whose parameters are off this minibatch's graph
             # (a checkpoint with no routed term) keeps its state
-            for opt in extra_opts:
+            for opt in opts:
                 if any(p.grad is not None for p in opt.params):
                     opt.step()
 

@@ -95,7 +95,8 @@ def test_config_validation_rules():
 
 @pytest.mark.parametrize("key", ["report_epoch", "checkpoint_interval", "update_epochs",
                                  "num_envs", "num_steps", "num_minibatches",
-                                 "eval_batch_size", "eval_episodes", "trusted_cap"])
+                                 "eval_batch_size", "eval_episodes", "trusted_cap",
+                                 "total_timesteps", "max_ep_length", "max_eval_ep_len"])
 def test_config_rejects_counts_below_one(key):
     flat = config_to_flat_dict(tiny_run_config("hop"))
     del flat["batch_size"], flat["minibatch_size"]

@@ -743,6 +743,27 @@ def test_bitmask_length_mismatch_is_rejected():
                              np.random.default_rng(1))
 
 
+def test_routed_gradients_need_an_optimizer_on_every_checkpoint():
+    learner, critic, orch, hop_cfg, ppo_cfg = _hop_setup(2)
+    buffer = _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg)
+    gae = compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda, norm_adv=True)
+    orch.checkpoints[1].opt = None
+
+    def update():
+        return masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
+                                    Adam(learner.parameters, 1e-3),
+                                    Adam(critic.parameters, 1e-3),
+                                    np.random.default_rng(9))
+
+    weights = learner.get_arrays()
+    with pytest.raises(ContractError, match="optimizer"):
+        update()
+    assert all(np.array_equal(a, b) for a, b in zip(learner.get_arrays(), weights))
+    # frozen snapshots need none
+    hop_cfg.checkpoint_gradients = False
+    update()
+
+
 # --- serialization -----------------------------------------------------------------
 
 
@@ -788,23 +809,3 @@ def test_trusted_set_keeps_digests_of_every_ingested_state():
     ingested = ts._ingested
     ts.add_episode(states, 9.0)          # evicted states are still known
     assert ts._ingested == ingested
-
-
-def test_trusted_set_pickled_in_the_old_shape_loads_as_the_new():
-    # older pickles key _seen by each ingested state's full bytes and carry
-    # the unit vectors as units and _matrix
-    rng = np.random.default_rng(74)
-    ts, states = _filled_set(rng, 25, dim=OBS_DIM, cap=10)
-    new_seen = set(ts._seen)
-    old = TrustedStateSet(10, rng)
-    old.__dict__.update(ts.__dict__, _seen={s.tobytes() for s in states},
-                        units=list(ts.matrix), _matrix=ts.matrix)
-    back = pickle.loads(pickle.dumps(old))
-    assert not {"units", "_matrix"} & set(back.__dict__)
-    assert back._seen == new_seen
-    assert all(np.array_equal(a, b) for a, b in zip(back.raw, ts.raw))
-    assert back.episode_returns == ts.episode_returns
-    back.add_episode(states, 9.0)        # every state, evicted ones included
-    assert back._ingested == ts._ingested and len(back) == len(ts)
-    assert all(np.array_equal(a, b) for a, b in zip(back.raw, ts.raw))
-    assert pickle.loads(pickle.dumps(back)).__dict__.keys() == ts.__dict__.keys()

@@ -48,6 +48,40 @@ def test_rollout_deterministic_and_sized():
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
+def _count_observations(monkeypatch) -> list:
+    """Count every observation an EnvInstance builds from here on."""
+    calls = []
+    build = EnvInstance.observation
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(EnvInstance, "observation", counted)
+    return calls
+
+
+def test_a_rollout_builds_each_observation_once(monkeypatch):
+    cfg = tiny_cfg(num_steps=30, num_envs=3)
+    actor, critic = make_nets(3)
+    calls = _count_observations(monkeypatch)
+    vec = VecEnv([LevelSpec("runner", s) for s in (1, 2)], cfg.num_envs, max_ep_length=8)
+    buffer = collect_rollout(LearnerSource(actor), vec, critic.forward_np, cfg,
+                             np.random.default_rng(5))
+    ends = int(buffer.dones.sum())
+    assert ends >= cfg.num_envs * (cfg.num_steps // 8)
+    # the first observations, one per step, and one per episode that auto-reset
+    assert len(calls) == cfg.num_envs + cfg.num_steps * cfg.num_envs + ends
+
+
+def test_lockstep_episodes_build_each_observation_once(monkeypatch):
+    specs = [LevelSpec("dodger", s) for s in (1, 2, 3, 1)]
+    calls = _count_observations(monkeypatch)
+    episodes = play_episodes(LearnerSource(make_nets(5)[0]), specs, 30,
+                             np.random.default_rng(8))
+    assert len(calls) == len(specs) + sum(ep.steps for ep in episodes)
+
+
 def test_rollout_rewards_match_replay_oracle():
     cfg = tiny_cfg(num_steps=40)
     actor, critic = make_nets(3)
@@ -121,14 +155,24 @@ def test_update_with_ratio_one_reports_plain_surrogate_and_moves_params():
     actor, critic, buffer = _collected(cfg)
     gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda, norm_adv=True)
     before = actor.get_arrays()
+    # an optimizer whose parameters are off the graph, with stale gradients
+    idle = Mlp([OBS_DIM, 4, N_ACTIONS], np.random.default_rng(2))
+    idle_before = idle.get_arrays()
+    for p in idle.parameters:
+        p.grad = np.ones_like(p.data)
+    idle_opt = Adam(idle.parameters, cfg.learning_rate)
     stats = ppo_update(buffer, gae, actor, critic, cfg,
                        Adam(actor.parameters, cfg.learning_rate),
                        Adam(critic.parameters, cfg.learning_rate),
-                       np.random.default_rng(1))
+                       np.random.default_rng(1), extra_opts=[idle_opt])
     # ratio == 1 on the first pass: surrogate reduces to -mean(advantages)
     assert np.isclose(stats.policy_loss, -gae.advantages.mean(), atol=1e-12)
     assert any(not np.array_equal(b, a)
                for b, a in zip(before, actor.get_arrays()))
+    # the update zeroed its gradients and did not step it
+    assert all(p.grad is None for p in idle.parameters)
+    assert idle_opt.step_count == 0
+    assert all(np.array_equal(b, a) for b, a in zip(idle_before, idle.get_arrays()))
 
 
 def test_zero_advantages_give_zero_actor_gradient():
