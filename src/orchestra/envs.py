@@ -14,7 +14,7 @@ hazard motion use no runtime randomness.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,10 +76,8 @@ class Layout:
 
 @dataclass
 class StepResult:
-    observation: np.ndarray
     reward: float
     done: bool
-    episode_steps: int
 
 
 def _level_rng(spec: LevelSpec) -> np.random.Generator:
@@ -303,38 +301,36 @@ class EnvInstance:
         return obs.ravel()
 
     def step(self, action: int) -> StepResult:
+        """Apply one action; ``observation()`` builds the state it leads to. A
+        death scores 0: a runner or dodger agent stands on the hazard, and a
+        climber, whose move checks the hazards it passes, stays put."""
         if self.done:
             raise ContractError("step() called on a finished episode")
         if not 0 <= action < N_ACTIONS:
             raise ContractError(f"action {action} outside 0..{N_ACTIONS - 1}")
-        family = self.spec.family
-        walls = self.layout.walls
+        family, walls = self.spec.family, self.layout.walls
         r, c = self.agent
+        died = False
         if family == "climber":
-            hazards = set(self.layout.static_hazards)
-            nxt = _climber_move(self.layout, (r, c), action, hazards)
-            self.episode_steps += 1
-            if nxt is None:
-                self.done = True
-                return StepResult(self.observation(), 0.0, True, self.episode_steps)
-            self.agent = nxt
-        else:
-            if action in MOVES:
-                dr, dc = MOVES[action]
-                nr, nc = r + dr, c + dc
-                if 0 <= nr < GRID and 0 <= nc < GRID and not walls[nr, nc]:
-                    self.agent = (nr, nc)
-            elif action == 4 and family == "runner":
-                # dash: two cells right, blocked cell by cell
-                for _ in range(2):
-                    rr, cc = self.agent
-                    if cc + 1 < GRID and not walls[rr, cc + 1]:
-                        self.agent = (rr, cc + 1)
-            # dodger's special (4) and actions 5..7 everywhere: wait
-            self.episode_steps += 1
-            if self.agent in self._hazard_cells():
-                self.done = True
-                return StepResult(self.observation(), 0.0, True, self.episode_steps)
+            nxt = _climber_move(self.layout, (r, c), action, set(self.layout.static_hazards))
+            died = nxt is None
+            self.agent = nxt or self.agent
+        elif action in MOVES:
+            dr, dc = MOVES[action]
+            nr, nc = r + dr, c + dc
+            if 0 <= nr < GRID and 0 <= nc < GRID and not walls[nr, nc]:
+                self.agent = (nr, nc)
+        elif action == 4 and family == "runner":
+            # dash: two cells right, blocked cell by cell
+            for _ in range(2):
+                rr, cc = self.agent
+                if cc + 1 < GRID and not walls[rr, cc + 1]:
+                    self.agent = (rr, cc + 1)
+        # dodger's special (4) and actions 5..7 everywhere: wait
+        self.episode_steps += 1
+        if died or self.agent in self._hazard_cells():
+            self.done = True
+            return StepResult(0.0, True)
         reward = 0.0
         if self.agent in self.remaining_cues:
             self.remaining_cues.discard(self.agent)
@@ -344,15 +340,15 @@ class EnvInstance:
             self.done = True
         if self.episode_steps >= self.max_ep_length:
             self.done = True
-        return StepResult(self.observation(), reward, self.done, self.episode_steps)
+        return StepResult(reward, self.done)
 
 
 class VecEnv:
     """N env slots, each cycling through a shared level rotation.
 
-    Finished episodes auto-reset: the returned StepResult carries the
-    terminal reward/done flag, but its observation is the next episode's
-    initial observation (the standard bootstrapping convention).
+    Finished episodes auto-reset: a slot whose StepResult says done already
+    holds the next episode, so ``observations()`` after a step gives that
+    episode's initial observation (the standard bootstrapping convention).
     """
 
     def __init__(self, level_specs: Sequence[LevelSpec], num_envs: int,
@@ -383,6 +379,5 @@ class VecEnv:
             res = env.step(int(action))
             if res.done:
                 self.envs[i] = self._next_env()
-                res = replace(res, observation=self.envs[i].observation())
             results.append(res)
         return results

@@ -227,15 +227,16 @@ class Trainer:
         self.train_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, 0x51EED]))
         init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x1217]))
-        self.actor = Mlp([OBS_DIM, HIDDEN, HIDDEN, N_ACTIONS], init_rng)
-        self.critic = Mlp([OBS_DIM, HIDDEN, HIDDEN, 1], init_rng)
-        self.actor_opt = Adam(self.actor.parameters, config.ppo.learning_rate)
-        self.critic_opt = Adam(self.critic.parameters, config.ppo.learning_rate)
         self.orchestra = Orchestra()
         self.stack: Optional[PnnStack] = None
-        if config.algorithm == "pnn":
+        if config.algorithm == "pnn":     # trains its columns, and has no learner
             self.stack = PnnStack(OBS_DIM, N_ACTIONS, HIDDEN,
                                   config.ppo.learning_rate, init_rng)
+        else:
+            self.actor = Mlp([OBS_DIM, HIDDEN, HIDDEN, N_ACTIONS], init_rng)
+            self.critic = Mlp([OBS_DIM, HIDDEN, HIDDEN, 1], init_rng)
+            self.actor_opt = Adam(self.actor.parameters, config.ppo.learning_rate)
+            self.critic_opt = Adam(self.critic.parameters, config.ppo.learning_rate)
         self._enter_phase(0)
         if self.out_dir:
             self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -512,12 +513,25 @@ _PPO_KEYS = {f.name for f in fields(PpoConfig)}
 _HOP_KEYS = {f.name for f in fields(HopConfig)}
 _RUN_KEYS = ({f.name for f in fields(RunConfig)} - {"ppo", "hop", "families"}) | {"experiment"}
 _DERIVED_KEYS = {"batch_size", "minibatch_size"}  # accepted, must be consistent
+# each key's kind, and the values it takes: a bool is no number here
+_KINDS = {f.name: getattr(f.type, "__name__", f.type)
+          for c in (PpoConfig, HopConfig, RunConfig) for f in fields(c)}
+_KINDS.update(experiment="str", batch_size="int", minibatch_size="int")
+_ACCEPTS = {"bool": (bool, np.bool_), "int": (int, np.integer),
+            "float": (int, float, np.integer, np.floating), "str": (str,)}
 
 
 def config_from_flat_dict(raw: dict) -> RunConfig:
     unknown = set(raw) - _PPO_KEYS - _HOP_KEYS - _RUN_KEYS - _DERIVED_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        kind = _KINDS[key]
+        if not isinstance(value, _ACCEPTS[kind]) or (
+                kind != "bool" and isinstance(value, (bool, np.bool_))):
+            raise ConfigError(f"{key}: expected {kind}, got {type(value).__name__} {value!r}")
+    # numpy scalars become Python ones, so config.json can hold them
+    raw = {k: v.item() if isinstance(v, np.generic) else v for k, v in raw.items()}
     ppo = PpoConfig(**{k: raw[k] for k in _PPO_KEYS if k in raw})
     hop = replace(RunConfig().hop, **{k: raw[k] for k in _HOP_KEYS if k in raw})
     if "batch_size" in raw and raw["batch_size"] != ppo.batch_size:

@@ -37,7 +37,7 @@ class Mlp:
 
     Parameters live as leaf Tensors so one network object serves both the
     graph-building forward (updates) and the raw-numpy forward (rollouts).
-    Both run the same numpy body, ``_stack``.
+    Both are ``head`` over the last hidden layer of one numpy body, ``_stack``.
     """
 
     def __init__(self, sizes: Sequence[int], rng: np.random.Generator):
@@ -52,10 +52,7 @@ class Mlp:
 
     @property
     def parameters(self) -> list[Tensor]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def _stack(self, x) -> tuple[np.ndarray, list[np.ndarray]]:
         """Every layer but the output layer, in numpy: (cols, activations).
@@ -78,14 +75,12 @@ class Mlp:
             acts.append(np.tanh(acts[-1] @ (w[cols] if i == 0 else w) + self.biases[i].data))
         return cols, acts
 
-    def forward(self, x, return_hidden: bool = False):
-        """Graph-building forward of an ndarray, or a Tensor off the tape, of
-        shape (B, in); bit-identical to forward_np(). ``_stack`` enters the
-        tape as one node, and the output layer after it as two ordinary ops.
-        """
+    def hidden(self, x) -> Tensor:
+        """The last hidden layer of an ndarray, or a Tensor off the tape, of
+        shape (B, in): ``_stack`` as one tape node, bit-identical to hidden_np()."""
         if isinstance(x, Tensor):
             if x.requires_grad:
-                raise ContractError("Mlp.forward: the input must not need a gradient")
+                raise ContractError("Mlp: the input must not need a gradient")
             x = x.data
         cols, acts = self._stack(x)
 
@@ -104,17 +99,25 @@ class Mlp:
                     w._accumulate(acts[i].T @ g)
                     g = g @ w.data.T
 
-        h = ad.node(acts[-1], self.parameters[:-2], backward)
-        out = h @ self.weights[-1] + self.biases[-1]
-        return (out, h) if return_hidden else out
+        return ad.node(acts[-1], self.parameters[:-2], backward)
 
-    def forward_np(self, x: np.ndarray, return_hidden: bool = False):
-        """Raw-numpy forward without the tape; bit-identical to forward()."""
-        h = self._stack(x)[1][-1]
+    def hidden_np(self, x) -> np.ndarray:
+        return self._stack(x)[1][-1]
+
+    def head(self, h):
+        """The output layer; on the tape for a Tensor, else numpy that refuses non-finite output."""
+        if isinstance(h, Tensor):
+            return h @ self.weights[-1] + self.biases[-1]
         out = h @ self.weights[-1].data + self.biases[-1].data
         if not np.isfinite(out).all():
-            raise ContractError("forward_np produced non-finite output")
-        return (out, h) if return_hidden else out
+            raise ContractError("an Mlp produced non-finite output")
+        return out
+
+    def forward(self, x) -> Tensor:
+        return self.head(self.hidden(x))
+
+    def forward_np(self, x) -> np.ndarray:
+        return self.head(self.hidden_np(x))
 
     def get_arrays(self) -> list[np.ndarray]:
         return [p.data.copy() for p in self.parameters]

@@ -89,28 +89,25 @@ class PnnStack:
         """Each earlier column's ``max(h, 0)`` of its last hidden layer at
         ``x``, with the adapter that carries it into column ``col_idx``."""
         for src in range(col_idx):
-            _, src_h = getattr(self.columns[src], net).forward_np(x, return_hidden=True)
+            src_h = getattr(self.columns[src], net).hidden_np(x)
             yield np.maximum(src_h, 0.0), self.adapters[(net, src, col_idx)]
 
     def net_forward_np(self, task_id: str, net: str, obs: np.ndarray) -> np.ndarray:
         """Output of the task's ``net`` column ("actor" or "critic") with its
         adapters, for a batch of observations."""
         col_idx = self._column(task_id)
-        x = np.atleast_2d(np.asarray(obs, dtype=np.float64))
         mlp: Mlp = getattr(self.columns[col_idx], net)
-        out, h = mlp.forward_np(x, return_hidden=True)
-        if col_idx == 0:
-            return out
-        for feats, adp in self._sources(col_idx, net, x):
+        h = mlp.hidden_np(obs)
+        for feats, adp in self._sources(col_idx, net, obs):
             h = h + (feats @ adp.weight.data + adp.bias.data)
-        return h @ mlp.weights[-1].data + mlp.biases[-1].data
+        return mlp.head(h)
 
     def _net_forward_graph(self, col_idx: int, net: str, x: np.ndarray) -> Tensor:
         mlp: Mlp = getattr(self.columns[col_idx], net)
-        _, h = mlp.forward(x, return_hidden=True)
+        h = mlp.hidden(x)
         for feats, adp in self._sources(col_idx, net, x):
             h = h + (Tensor(feats) @ adp.weight + adp.bias)
-        return h @ mlp.weights[-1] + mlp.biases[-1]
+        return mlp.head(h)
 
     def forward_with_adapters(self, task_id: str, obs: np.ndarray):
         """(logits, value) for a batch of observations under the task's column."""

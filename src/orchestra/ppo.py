@@ -59,6 +59,11 @@ class PpoConfig:
             )
         if self.anneal_lr:
             raise ConfigError("anneal_lr is not supported")
+        if not 0.0 < self.learning_rate < np.inf:       # NaN fails too
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        for key in ("gamma", "gae_lambda"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ConfigError(f"{key} must be in [0, 1], got {getattr(self, key)}")
 
 
 @dataclass
@@ -154,7 +159,7 @@ def collect_rollout(source: ActionSource, vecenv: VecEnv,
         results = vecenv.vec_step(a)
         rewards[t] = [r.reward for r in results]
         dones[t] = [r.done for r in results]
-        cur = np.stack([r.observation for r in results])
+        cur = vecenv.observations()
     bootstrap = value_fn(cur)[:, 0]
     return RolloutBuffer(obs, actions, rewards, dones, logprobs, values,
                          bootstrap, aux)
@@ -323,7 +328,7 @@ def play_episodes(source: ActionSource, specs: Sequence[LevelSpec], max_len: int
             if result.done:
                 del obs[i]
             else:
-                obs[i] = result.observation
+                obs[i] = envs[i].observation()
     return episodes
 
 
@@ -332,7 +337,11 @@ def replay(spec: LevelSpec, max_len: int, actions: Sequence[int]) -> list[np.nda
     on. A level has no runtime randomness, so they are the ones
     ``play_episodes`` acted on when it sampled those actions."""
     env = EnvInstance(spec, max_len)
-    return [env.observation()] + [env.step(a).observation for a in actions[:-1]]
+    observations = [env.observation()]
+    for a in actions[:-1]:
+        env.step(a)
+        observations.append(env.observation())
+    return observations
 
 
 def evaluate_policy(source: ActionSource, level_specs: Sequence[LevelSpec],

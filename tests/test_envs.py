@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orchestra.envs import (CH_AGENT, FAMILIES, GRID, EnvInstance, LevelSpec,
-                            MOVES, N_ACTIONS, OBS_DIM, VecEnv, generate_layout)
+                            MOVES, N_ACTIONS, OBS_DIM, StepResult, VecEnv,
+                            generate_layout)
 from orchestra.errors import ConfigError, ContractError
 
 # hand-solved optimal route for (runner, seed=7), found with a BFS oracle
@@ -97,6 +98,22 @@ def test_truncation_at_max_ep_length():
     assert env.step(5).done
 
 
+@pytest.mark.parametrize("family,seed,script,cell", [
+    ("runner", 1, [1], (5, 0)),         # moves down onto a hazard
+    ("runner", 7, [4], (7, 2)),         # dashes two cells onto a hazard
+    ("climber", 1, [3, 3], (8, 3)),     # would walk onto the hazard at (8, 4)
+])
+def test_a_death_leaves_the_agent_where_it_died(family, seed, script, cell):
+    """A runner stands on the hazard that killed it; a climber stays put."""
+    env = EnvInstance(LevelSpec(family, seed))
+    results = [env.step(a) for a in script]
+    assert results[-1] == StepResult(0.0, True) and env.done
+    assert env.agent == cell
+    assert (cell in env.layout.static_hazards) == (family == "runner")
+    agent = env.observation()[:GRID * GRID].reshape(GRID, GRID)
+    assert agent[cell] == 1.0 and agent.sum() == 1.0
+
+
 def test_step_after_done_raises():
     env = EnvInstance(LevelSpec("runner", 7), max_ep_length=1)
     env.step(5)
@@ -116,8 +133,8 @@ def test_vec_step_single_env_matches_plain_step():
     for a in RUNNER7_SCRIPT[:-1]:
         r_vec = vec.vec_step([a])[0]
         r_env = env.step(a)
-        assert r_vec.reward == r_env.reward and r_vec.done == r_env.done
-        assert np.array_equal(r_vec.observation, r_env.observation)
+        assert r_vec == r_env
+        assert np.array_equal(vec.observations()[0], env.observation())
 
 
 def test_vec_step_matches_sequential_oracle():
@@ -131,15 +148,14 @@ def test_vec_step_matches_sequential_oracle():
     for _ in range(120):
         actions = rng.integers(0, N_ACTIONS, size=3)
         results = vec.vec_step(actions)
+        observed = vec.observations()
         for i, res in enumerate(results):
             r = solo[i].step(int(actions[i]))
-            assert r.reward == res.reward and r.done == res.done
-            obs = r.observation
+            assert r == res
             if r.done:
                 solo[i] = EnvInstance(specs[cursor % len(specs)], 50)
                 cursor += 1
-                obs = solo[i].observation()
-            assert np.array_equal(obs, res.observation)
+            assert np.array_equal(solo[i].observation(), observed[i])
 
 
 def test_vec_step_auto_resets_done_env():
@@ -148,7 +164,8 @@ def test_vec_step_auto_resets_done_env():
     res = vec.vec_step([5])
     assert res[0].done
     fresh = EnvInstance(LevelSpec("runner", 7))
-    assert np.array_equal(res[0].observation, fresh.observation())
+    assert vec.envs[0].episode_steps == 0
+    assert np.array_equal(vec.observations()[0], fresh.observation())
     # next call steps the fresh episode without error
     vec.vec_step([5])
 
@@ -170,7 +187,7 @@ def test_trajectory_is_pure_function_of_spec_and_actions(family, seed, action_se
         trace = []
         for a in actions:
             res = env.step(int(a))
-            trace.append((res.reward, res.done, res.observation.tobytes()))
+            trace.append((res.reward, res.done, env.agent, env.observation().tobytes()))
             if res.done:
                 break
         traces.append(trace)

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,43 @@ def test_config_rejects_counts_below_one(key):
     flat[key] = 0
     with pytest.raises(ConfigError, match=key):
         config_from_flat_dict(flat)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("checkpoint_gradients", "false"), ("norm_adv", "no"), ("also_eval_phase1", 1),
+    ("num_envs", 16.0), ("seed", True), ("num_steps", np.float64(8)),
+    ("learning_rate", "5e-4"), ("gamma", False), ("reward_limit", None),
+    ("algorithm", 1), ("experiment", None), ("batch_size", 16.0)])
+def test_config_rejects_a_value_of_the_wrong_kind(key, value):
+    flat = config_to_flat_dict(tiny_run_config("hop"))
+    flat[key] = value
+    with pytest.raises(ConfigError, match=key):
+        config_from_flat_dict(flat)
+
+
+def test_config_takes_ints_for_floats_and_numpy_scalars():
+    flat = config_to_flat_dict(tiny_run_config("hop"))
+    flat.update(learning_rate=1, gamma=np.float32(0.5), num_envs=np.int64(2),
+                norm_adv=np.bool_(False), attributes=np.str_("learner"))
+    cfg = config_from_flat_dict(flat)
+    assert (cfg.ppo.learning_rate, cfg.ppo.gamma, cfg.ppo.num_envs) == (1, 0.5, 2)
+    assert cfg.ppo.norm_adv is False and cfg.hop.attributes == "learner"
+    json.dumps(config_to_flat_dict(cfg))      # config.json can hold every value
+
+
+@pytest.mark.parametrize("key,value", [
+    ("learning_rate", -1.0), ("learning_rate", 0.0), ("learning_rate", np.inf),
+    ("learning_rate", np.nan), ("gamma", 1.5), ("gamma", -0.1), ("gae_lambda", 1.01),
+    ("gae_lambda", np.nan)])
+def test_ppo_config_rejects_bad_rates_and_discounts(key, value):
+    with pytest.raises(ConfigError, match=key):
+        PpoConfig(**{key: value}).validate()
+
+
+def test_ppo_config_takes_edge_discounts_and_unbounded_clips():
+    PpoConfig(gamma=0.0, gae_lambda=1.0, clip_coef=np.inf, target_kl=np.inf,
+              max_grad_norm=np.inf).validate()
+    PpoConfig(gamma=1.0, gae_lambda=0.0, clip_coef=-1.0, max_grad_norm=-1.0).validate()
 
 
 # --- derived metrics --------------------------------------------------------------
@@ -219,6 +257,16 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, algorithm):
     for name in ("updates.jsonl", "metrics.csv", "summary.json"):
         assert (part_dir / name).read_bytes() == \
                (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_a_pnn_trainer_has_no_learner(tmp_path):
+    learner = {"actor", "critic", "actor_opt", "critic_opt"}
+    assert learner <= set(vars(Trainer(tiny_run_config("ppo"))))
+    trainer = Trainer(tiny_run_config("pnn"), tmp_path)
+    assert not learner & set(vars(trainer))
+    trainer.run(max_iterations=1)
+    with open(tmp_path / "state.pkl", "rb") as f:
+        assert not learner & set(pickle.load(f))
 
 
 def test_resumed_parameters_are_aligned(tmp_path):

@@ -185,11 +185,14 @@ def test_forward_np_matches_forward_on_binary_batches(rows):
     net = Mlp([60, 16, 16, 5], rng)
     empty = np.zeros((rows, 60))
     for x in (_binary_batch(rng, rows), empty):
-        out, hidden = net.forward_np(x, return_hidden=True)
-        g_out, g_hidden = net.forward(Tensor(x), return_hidden=True)
+        out, hidden = net.forward_np(x), net.hidden_np(x)
+        g_out, g_hidden = net.forward(Tensor(x)), net.hidden(Tensor(x))
         assert np.array_equal(out, g_out.data)
         assert np.array_equal(hidden, g_hidden.data)
         assert np.array_equal(out, net.forward(x).data)
+        # the output layer over the hidden layer, on the tape and in numpy
+        assert np.array_equal(out, net.head(hidden))
+        assert np.array_equal(out, net.head(g_hidden).data)
     # a batch that sets no cell multiplies no column: its output is the biases'
     assert np.array_equal(net.forward_np(empty), _plain_forward(net, empty))
 
@@ -255,7 +258,7 @@ def test_pnn_graph_gradients_equal_a_per_layer_graph():
 
     actor = stack.columns[1].actor
     cols, h, leaves = _reference_hidden(actor, x)
-    _, src_h = stack.columns[0].actor.forward_np(x, return_hidden=True)
+    src_h = stack.columns[0].actor.hidden_np(x)
     w, b = (Tensor(p.data, requires_grad=True) for p in adapter.parameters)
     h = h + (Tensor(np.maximum(src_h, 0.0)) @ w + b)
     ad.backward((h @ leaves[-2] + leaves[-1] - y).square().mean())
@@ -268,10 +271,23 @@ def test_pnn_graph_gradients_equal_a_per_layer_graph():
 def test_forward_refuses_an_input_on_the_tape(rng):
     net = Mlp([5, 4, 3], rng)
     x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-    with pytest.raises(ContractError):
-        net.forward(x)
-    with pytest.raises(ContractError):
-        net.forward(Tensor(np.ones((2, 5))) * x)
+    for forward in (net.forward, net.hidden):
+        with pytest.raises(ContractError):
+            forward(x)
+        with pytest.raises(ContractError):
+            forward(Tensor(np.ones((2, 5))) * x)
+
+
+def test_numpy_output_layer_refuses_a_non_finite_output(rng):
+    net = Mlp([5, 4, 3], rng)
+    net.biases[-1].data[1] = np.nan
+    x = rng.normal(size=(2, 5))
+    with pytest.raises(ContractError, match="non-finite"):
+        net.forward_np(x)
+    with pytest.raises(ContractError, match="non-finite"):
+        net.head(net.hidden_np(x))
+    # on the tape the update's loss check sees it
+    assert np.isnan(net.forward(x).data[:, 1]).all()
 
 
 def test_parameters_stay_aligned_after_construction_clone_and_set_arrays(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orchestra.envs import LevelSpec, N_ACTIONS, OBS_DIM, VecEnv
-from orchestra.errors import ConfigError
+from orchestra.errors import ConfigError, ContractError
 from orchestra.nn import Adam, Mlp
 from orchestra.pnn import ColumnSource, PnnStack, pnn_update
 from orchestra.ppo import GaeOutput, PpoConfig, collect_rollout, compute_gae
@@ -140,3 +140,14 @@ def test_standalone_forward_is_adapter_free():
         adp.bias.data -= 0.25
     assert np.array_equal(stack.columns[1].actor.forward_np(x), plain)
     assert not np.array_equal(stack.forward_with_adapters("b", x)[0], plain)
+
+
+@pytest.mark.parametrize("task", ["a", "b"])
+@pytest.mark.parametrize("net", ["actor", "critic"])
+def test_a_non_finite_column_output_raises(task, net):
+    stack = make_stack()
+    stack.add_column("a")
+    stack.add_column("b")
+    getattr(stack.columns[stack._column(task)], net).biases[-1].data[0] = np.inf
+    with pytest.raises(ContractError, match="non-finite"):
+        stack.net_forward_np(task, net, np.zeros((2, OBS_DIM)))
