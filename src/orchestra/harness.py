@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import ctypes
 import json
 import os
 import pickle
@@ -22,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .blas import openblas_threads
 from .errors import ConfigError, require_positive
 from .nn import Adam, Mlp
 from .envs import FAMILIES, LevelSpec, N_ACTIONS, OBS_DIM, VecEnv
@@ -294,6 +294,9 @@ class Trainer:
             self.iteration += 1
             done_iters += 1
             self._accumulate_activations(buffer)
+            # the rollout (13 MB of observations at desk scale) is spent: the
+            # checkpoint attempt, the evaluation and the persist reuse its pages
+            del buffer, gae
             self._log_update(stats)
             if cfg.algorithm == "hop" and self.global_step % cfg.hop.checkpoint_interval == 0:
                 self._checkpoint()
@@ -451,27 +454,6 @@ def resume(out_dir) -> MetricsReport:
 # thread count. A run records them in run_env.json and resume checks them.
 
 RUN_ENV = "run_env.json"
-_OPENBLAS_THREAD_GETTERS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                            "scipy_openblas_get_num_threads64_",
-                            "scipy_openblas_get_num_threads")
-
-
-def _openblas_threads() -> Optional[int]:
-    """Thread count of the loaded OpenBLAS; None where it cannot be asked."""
-    try:
-        with open("/proc/self/maps") as f:
-            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
-    except OSError:     # not Linux
-        return None
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for name in _OPENBLAS_THREAD_GETTERS:
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                return int(getter())
-    return None
 
 
 def run_environment() -> dict:
@@ -483,7 +465,7 @@ def run_environment() -> dict:
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
-        "blas_threads": _openblas_threads(),
+        "blas_threads": openblas_threads(),
     }
 
 

@@ -44,6 +44,8 @@ class HopConfig:
         if self.attributes not in ("joined", "learner"):
             raise ConfigError("attributes must be 'joined' or 'learner'")
         require_positive(self, "checkpoint_interval", "trusted_cap", "eval_episodes")
+        if np.isnan(self.reward_limit):     # no return would pass the gate
+            raise ConfigError("reward_limit must not be NaN")
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

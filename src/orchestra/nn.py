@@ -72,7 +72,9 @@ class Mlp:
         acts = [x[:, cols]]
         for i in range(len(self.weights) - 1):
             w = self.weights[i].data
-            acts.append(np.tanh(acts[-1] @ (w[cols] if i == 0 else w) + self.biases[i].data))
+            h = acts[-1] @ (w[cols] if i == 0 else w)
+            h += self.biases[i].data
+            acts.append(np.tanh(h, out=h))
         return cols, acts
 
     def hidden(self, x) -> Tensor:
@@ -89,7 +91,9 @@ class Mlp:
             # gradients equal theirs bit for bit
             for i in reversed(range(len(acts) - 1)):
                 w, b = self.weights[i], self.biases[i]
-                g = g * (1.0 - acts[i + 1] * acts[i + 1])
+                d = acts[i + 1] * acts[i + 1]
+                np.subtract(1.0, d, out=d)
+                g = np.multiply(g, d, out=d)     # g * (1 - a*a), in one buffer
                 b._accumulate(g.sum(axis=0))
                 if i == 0:
                     if w.grad is None:

@@ -9,13 +9,16 @@ logits) that the buffer stores verbatim; the update never recomputes them.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, asdict
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .blas import openblas_threads
 from .errors import ConfigError, ContractError, require_positive
 from .nn import Adam, Mlp, clip_grad_norm, sample_categorical_batch
 from .envs import EnvInstance, LevelSpec, VecEnv
@@ -64,6 +67,14 @@ class PpoConfig:
         for key in ("gamma", "gae_lambda"):
             if not 0.0 <= getattr(self, key) <= 1.0:
                 raise ConfigError(f"{key} must be in [0, 1], got {getattr(self, key)}")
+        # NaN fails every comparison, so these reject it too; an infinite
+        # max_grad_norm turns clipping off
+        if not self.max_grad_norm > 0.0:
+            raise ConfigError(f"max_grad_norm must be positive, got {self.max_grad_norm}")
+        if not 0.0 <= self.vf_coef < np.inf:
+            raise ConfigError(f"vf_coef must be finite and non-negative, got {self.vf_coef}")
+        if not np.isfinite(self.ent_coef):
+            raise ConfigError(f"ent_coef must be finite, got {self.ent_coef}")
 
 
 @dataclass
@@ -198,6 +209,12 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
     ``actor_opt``, ``critic_opt`` and ``extra_opts`` are zeroed, clipped and
     stepped, in that order. The epoch loop stops at an epoch boundary once
     mean approximate KL exceeds target_kl.
+
+    Each minibatch runs as two halves that share no parameter: the policy
+    half (logits_fn, surrogate, entropy) and the value half (values_fn,
+    value loss), each with its own backward. The gradient a parameter gets
+    is the one the joint loss would give it, bit for bit. The value half and
+    ``critic_opt``'s step run on ``_update_worker()`` when there is one.
     """
     B = buffer.num_steps * buffer.num_envs
     obs_flat = buffer.obs.reshape(B, -1)
@@ -215,7 +232,51 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
             return critic.forward(Tensor(obs_flat[idx]))
     opts = [actor_opt, critic_opt, *extra_opts]
     params = [p for opt in opts for p in opt.params]
+    policy_opts = [actor_opt, *extra_opts]
 
+    def policy_half(idx):
+        """(policy loss, entropy, approximate KL, clip fraction)."""
+        logits = logits_fn(idx)
+        logp_all = ad.log_softmax(logits)
+        newlogp = ad.pick(logp_all, act_flat[idx])
+        logratio = newlogp - Tensor(oldlogp_flat[idx])
+        ratio = logratio.exp()
+        mb_adv = Tensor(adv_flat[idx])
+        surr1 = ratio * mb_adv
+        surr2 = ad.clip(ratio, 1.0 - cfg.clip_coef, 1.0 + cfg.clip_coef) * mb_adv
+        pg_loss = -ad.minimum(surr1, surr2).mean()
+        probs = logp_all.exp()
+        entropy = -(probs * logp_all).sum(axis=-1).mean()
+        ad.backward(pg_loss - cfg.ent_coef * entropy)
+        with np.errstate(all="ignore"):
+            kl = float((oldlogp_flat[idx] - newlogp.data).mean())
+            cf = float((np.abs(ratio.data - 1.0) > cfg.clip_coef).mean())
+        return float(pg_loss.data), float(entropy.data), kl, cf
+
+    def value_half(idx):
+        """The value loss."""
+        v = values_fn(idx).reshape(-1)
+        if cfg.clip_vloss:
+            v_old = Tensor(val_flat[idx])
+            v_clipped = v_old + ad.clip(v - v_old, -cfg.clip_coef, cfg.clip_coef)
+            # the larger of the two squared errors, as -min(-a, -b)
+            v_loss = -0.5 * ad.minimum(
+                -(v - Tensor(ret_flat[idx])).square(),
+                -(v_clipped - Tensor(ret_flat[idx])).square(),
+            ).mean()
+        else:
+            v_loss = 0.5 * (v - Tensor(ret_flat[idx])).square().mean()
+        ad.backward(cfg.vf_coef * v_loss)
+        return float(v_loss.data)
+
+    def step(group):
+        # an optimizer whose parameters are off this minibatch's graph
+        # (a checkpoint with no routed term) keeps its state
+        for opt in group:
+            if any(p.grad is not None for p in opt.params):
+                opt.step()
+
+    worker = _update_worker()
     pl_sum = vl_sum = ent_sum = kl_sum = cf_sum = gn_sum = 0.0
     n_mb = 0
     epochs_run = 0
@@ -224,52 +285,20 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
         epoch_kls = []
         for start in range(0, B, cfg.minibatch_size):
             idx = perm[start:start + cfg.minibatch_size]
-            logits = logits_fn(idx)
-            logp_all = ad.log_softmax(logits)
-            newlogp = ad.pick(logp_all, act_flat[idx])
-            logratio = newlogp - Tensor(oldlogp_flat[idx])
-            ratio = logratio.exp()
-            mb_adv = Tensor(adv_flat[idx])
-            surr1 = ratio * mb_adv
-            surr2 = ad.clip(ratio, 1.0 - cfg.clip_coef, 1.0 + cfg.clip_coef) * mb_adv
-            pg_loss = -ad.minimum(surr1, surr2).mean()
-            probs = logp_all.exp()
-            entropy = -(probs * logp_all).sum(axis=-1).mean()
-
-            v = values_fn(idx).reshape(-1)
-            if cfg.clip_vloss:
-                v_old = Tensor(val_flat[idx])
-                v_clipped = v_old + ad.clip(v - v_old, -cfg.clip_coef, cfg.clip_coef)
-                # the larger of the two squared errors, as -min(-a, -b)
-                v_loss = -0.5 * ad.minimum(
-                    -(v - Tensor(ret_flat[idx])).square(),
-                    -(v_clipped - Tensor(ret_flat[idx])).square(),
-                ).mean()
-            else:
-                v_loss = 0.5 * (v - Tensor(ret_flat[idx])).square().mean()
-
-            loss = pg_loss - cfg.ent_coef * entropy + cfg.vf_coef * v_loss
-            if not np.isfinite(loss.data):
-                raise RuntimeError(
-                    "ppo_update aborted: non-finite loss "
-                    f"(pg={pg_loss.data}, v={v_loss.data}, ent={entropy.data})"
-                )
             ad.zero_grads(params)
-            ad.backward(loss)
+            (pg, ent, kl, cf), vl = _side_by_side(
+                worker, partial(policy_half, idx), partial(value_half, idx))
+            # the joint loss's value, summed as the joint graph summed it
+            if not np.isfinite(pg - cfg.ent_coef * ent + cfg.vf_coef * vl):
+                raise RuntimeError(
+                    f"ppo_update aborted: non-finite loss (pg={pg}, v={vl}, ent={ent})")
             gn = clip_grad_norm(params, cfg.max_grad_norm)
-            # an optimizer whose parameters are off this minibatch's graph
-            # (a checkpoint with no routed term) keeps its state
-            for opt in opts:
-                if any(p.grad is not None for p in opt.params):
-                    opt.step()
+            _side_by_side(worker, partial(step, policy_opts), partial(step, [critic_opt]))
 
-            with np.errstate(all="ignore"):
-                kl = float((oldlogp_flat[idx] - newlogp.data).mean())
-                cf = float((np.abs(ratio.data - 1.0) > cfg.clip_coef).mean())
             epoch_kls.append(kl)
-            pl_sum += float(pg_loss.data)
-            vl_sum += float(v_loss.data)
-            ent_sum += float(entropy.data)
+            pl_sum += pg
+            vl_sum += vl
+            ent_sum += ent
             kl_sum += kl
             cf_sum += cf
             gn_sum += gn
@@ -286,6 +315,58 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
         grad_norm=gn_sum / n_mb,
         epochs_run=epochs_run,
     )
+
+
+# --- the update's second thread -------------------------------------------------
+#
+# At one BLAS thread a matmul keeps one core busy, so on a host with two or
+# more usable CPUs the update runs each minibatch's value half on one worker
+# thread while the main thread runs the policy half. Each half does the
+# arithmetic it does inline, and each BLAS call still runs one thread, so the
+# outputs do not depend on whether the worker ran. A multi-threaded BLAS
+# already uses the other cores, and there the halves run inline.
+
+_worker = None      # one ThreadPoolExecutor of one thread per process, made on first use
+
+
+def _worker_fits() -> bool:
+    """Whether the loaded OpenBLAS runs one thread and this process may use
+    two or more CPUs. Where the OpenBLAS cannot be asked, it does not."""
+    return openblas_threads() == 1 and len(os.sched_getaffinity(0)) >= 2
+
+
+def _update_worker():
+    """The worker thread's executor, or None where the halves run inline."""
+    global _worker
+    if not _worker_fits():
+        return None
+    if _worker is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ppo-update")
+    return _worker
+
+
+def _forget_worker():
+    # a forked child has no copy of the parent's worker thread
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):     # POSIX
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _side_by_side(worker, main_call, worker_call):
+    """(main_call(), worker_call()), the second on ``worker`` when there is
+    one. Both have finished when this returns or raises."""
+    if worker is None:
+        return main_call(), worker_call()
+    future = worker.submit(worker_call)
+    try:
+        first = main_call()
+    finally:
+        second = future.result()
+    return first, second
 
 
 @dataclass

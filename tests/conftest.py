@@ -1,13 +1,30 @@
+import ctypes
+
 import numpy as np
 import pytest
 
 from orchestra.autodiff import ALIGN
+from orchestra.blas import openblas_function, openblas_threads
 from orchestra.nn import Adam, Mlp
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """The loaded OpenBLAS runs one thread during the test, as it does where
+    the PPO update uses its worker thread."""
+    threads = openblas_threads()
+    setter = openblas_function("set_num_threads")
+    if threads is None or setter is None:
+        pytest.skip("no OpenBLAS whose thread count can be set")
+    setter.argtypes = [ctypes.c_int]
+    setter(1)
+    yield
+    setter(threads)
 
 
 def fd_gradient(loss_fn, net: Mlp, h: float = 1e-5):

@@ -140,7 +140,20 @@ def test_ppo_config_rejects_bad_rates_and_discounts(key, value):
 def test_ppo_config_takes_edge_discounts_and_unbounded_clips():
     PpoConfig(gamma=0.0, gae_lambda=1.0, clip_coef=np.inf, target_kl=np.inf,
               max_grad_norm=np.inf).validate()
-    PpoConfig(gamma=1.0, gae_lambda=0.0, clip_coef=-1.0, max_grad_norm=-1.0).validate()
+    PpoConfig(gamma=1.0, gae_lambda=0.0, clip_coef=-1.0, target_kl=-1.0,
+              vf_coef=0.0, ent_coef=0.0).validate()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("reward_limit", np.nan), ("max_grad_norm", np.nan), ("max_grad_norm", 0.0),
+    ("max_grad_norm", -1.0), ("vf_coef", -0.5), ("vf_coef", np.nan), ("ent_coef", np.nan)])
+def test_config_rejects_a_value_that_silently_breaks_a_run(key, value):
+    # reward_limit=nan fails every checkpoint gate, max_grad_norm=nan turns
+    # clipping off, a negative vf_coef trains the critic uphill
+    flat = config_to_flat_dict(tiny_run_config("hop"))
+    flat[key] = value
+    with pytest.raises(ConfigError, match=key):
+        config_from_flat_dict(flat)
 
 
 # --- derived metrics --------------------------------------------------------------

@@ -1,14 +1,25 @@
+import itertools
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from orchestra import autodiff as ad
+from orchestra import ppo
 from orchestra.autodiff import Tensor
 from orchestra.envs import EnvInstance, LevelSpec, N_ACTIONS, OBS_DIM, VecEnv
 
 # hand-verified optimal route through the (runner, 7) layout: reaches the
 # goal in 12 steps for exactly +10 reward (no cues on this path)
 RUNNER7_SCRIPT = [0, 0, 3, 3, 3, 0, 3, 0, 3, 3, 3, 3]
-from orchestra.nn import Adam, Mlp
+from orchestra.hop import masked_policy_update
+from orchestra.nn import Adam, Mlp, clip_grad_norm
+from orchestra.pnn import pnn_update
 from orchestra.ppo import (EVAL_STEP_PENALTY, GaeOutput, LearnerSource,
                            PpoConfig, RolloutBuffer, collect_rollout,
                            compute_gae, evaluate_policy, play_episodes,
@@ -275,15 +286,28 @@ def test_actor_gradient_reduces_to_vanilla_policy_gradient():
         assert np.abs(g_s - p.grad).max() < 1e-10
 
 
-def test_nan_loss_aborts_with_diagnostic():
+def _opt_bits(opts) -> list:
+    """Every step count, parameter and Adam moment of ``opts``, as bytes."""
+    return [(opt.step_count, *(a.tobytes() for a in [p.data for p in opt.params] + opt.m + opt.v))
+            for opt in opts]
+
+
+def test_nan_loss_aborts_with_diagnostic(monkeypatch):
+    # NaN advantages make the policy term NaN, NaN returns the value term:
+    # both halves run their backward, and the update raises before it clips
+    # or steps anything, with its worker thread or without
     cfg = tiny_cfg(update_epochs=1, num_minibatches=1)
-    actor, critic, buffer = _collected(cfg)
-    gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
-    gae.advantages[:] = np.nan
-    with pytest.raises((RuntimeError, Exception)):
-        ppo_update(buffer, gae, actor, critic, cfg,
-                   Adam(actor.parameters, 1e-3), Adam(critic.parameters, 1e-3),
-                   np.random.default_rng(1))
+    for worker, term in itertools.product((True, False), ("advantages", "returns")):
+        monkeypatch.setattr(ppo, "_worker_fits", lambda: worker)
+        actor, critic, buffer = _collected(cfg)
+        gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
+        opts = [Adam(actor.parameters, 1e-3), Adam(critic.parameters, 1e-3)]
+        ppo_update(buffer, gae, actor, critic, cfg, *opts, np.random.default_rng(1))
+        before = _opt_bits(opts)
+        getattr(gae, term)[:] = np.nan
+        with pytest.raises(RuntimeError, match="non-finite loss"):
+            ppo_update(buffer, gae, actor, critic, cfg, *opts, np.random.default_rng(1))
+        assert _opt_bits(opts) == before
 
 
 def test_target_kl_stops_at_epoch_boundary():
@@ -297,6 +321,152 @@ def test_target_kl_stops_at_epoch_boundary():
                        Adam(critic.parameters, cfg.learning_rate),
                        np.random.default_rng(1))
     assert stats.epochs_run == 1
+
+
+# --- the update's worker thread ---------------------------------------------------
+
+
+def _ppo_case():
+    cfg = tiny_cfg()
+    actor, critic, buffer = _collected(cfg)
+    gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda, norm_adv=True)
+    opts = [Adam(actor.parameters, cfg.learning_rate), Adam(critic.parameters, cfg.learning_rate)]
+    return (lambda: ppo_update(buffer, gae, actor, critic, cfg, *opts,
+                               np.random.default_rng(1))), opts
+
+
+def _hop_case():
+    from test_hop import _hop_rollout, _hop_setup
+    learner, critic, orch, hop_cfg, ppo_cfg = _hop_setup(2)
+    assert hop_cfg.checkpoint_gradients
+    buffer = _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg)
+    gae = compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda, norm_adv=True)
+    opts = [Adam(learner.parameters, 1e-3), Adam(critic.parameters, 1e-3),
+            *(c.opt for c in orch.checkpoints)]
+
+    def run():
+        stats = masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
+                                     opts[0], opts[1], np.random.default_rng(9))
+        # routed gradients reached both snapshots
+        assert all(c.opt.step_count > 0 for c in orch.checkpoints)
+        return stats
+    return run, opts
+
+
+def _pnn_case():
+    from test_pnn import _rollout_for, make_stack
+    cfg = tiny_cfg(num_steps=8, num_envs=2)
+    stack = make_stack()
+    stack.add_column("a")
+    stack.add_column("b")
+    buffer = _rollout_for(stack, "b", cfg)
+    gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda, norm_adv=True)
+    col = stack.columns[1]
+    opts = [col.actor_opt, col.critic_opt, stack.adapter_opts[1]]
+    return (lambda: pnn_update(stack, "b", buffer, gae, cfg, np.random.default_rng(5))), opts
+
+
+@pytest.mark.parametrize("case", [_ppo_case, _hop_case, _pnn_case], ids=["ppo", "hop", "pnn"])
+def test_the_worker_thread_leaves_the_inline_bits(case, monkeypatch, one_blas_thread):
+    backward = ad.backward
+    results = []
+    for worker in (True, False):
+        threads = set()
+
+        def recorded(loss):
+            threads.add(threading.get_ident())
+            backward(loss)
+
+        monkeypatch.setattr(ad, "backward", recorded)
+        monkeypatch.setattr(ppo, "_worker_fits", lambda: worker)
+        run, opts = case()
+        # the interpreter passes between the threads as often as it can, so a
+        # half that touched the other's state would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stats = run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) == (2 if worker else 1)
+        results.append((np.array(astuple(stats), dtype=float).tobytes(), _opt_bits(opts)))
+    assert results[0] == results[1]
+
+
+def test_split_backward_equals_the_joint_loss_backward(monkeypatch, one_blas_thread):
+    # one minibatch at learning rate 0: the clipped gradients the update
+    # leaves are those of one backward of the joint loss
+    monkeypatch.setattr(ppo, "_worker_fits", lambda: True)
+    cfg = tiny_cfg(update_epochs=1, num_minibatches=1)
+    actor, critic, buffer = _collected(cfg)
+    gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda, norm_adv=True)
+    twins = [actor.clone(), critic.clone()]
+    ppo_update(buffer, gae, actor, critic, cfg, Adam(actor.parameters, 0.0),
+               Adam(critic.parameters, 0.0), np.random.default_rng(1))
+
+    B = cfg.batch_size
+    idx = np.random.default_rng(1).permutation(B)
+    obs = buffer.obs.reshape(B, -1)[idx]
+    logp_all = ad.log_softmax(twins[0].forward(obs))
+    newlogp = ad.pick(logp_all, buffer.actions.reshape(B)[idx])
+    ratio = (newlogp - Tensor(buffer.logprobs.reshape(B)[idx])).exp()
+    adv = Tensor(gae.advantages.reshape(B)[idx])
+    pg_loss = -ad.minimum(ratio * adv,
+                          ad.clip(ratio, 1.0 - cfg.clip_coef, 1.0 + cfg.clip_coef) * adv).mean()
+    entropy = -(logp_all.exp() * logp_all).sum(axis=-1).mean()
+    v = twins[1].forward(obs).reshape(-1)
+    v_loss = 0.5 * (v - Tensor(gae.returns.reshape(B)[idx])).square().mean()
+    twin_params = twins[0].parameters + twins[1].parameters
+    ad.backward(pg_loss - cfg.ent_coef * entropy + cfg.vf_coef * v_loss)
+    clip_grad_norm(twin_params, cfg.max_grad_norm)
+    for p, twin in zip(actor.parameters + critic.parameters, twin_params, strict=True):
+        assert p.grad.tobytes() == twin.grad.tobytes()
+
+
+def test_the_update_runs_inline_unless_one_blas_thread_and_two_cpus(monkeypatch):
+    for threads, cpus, inline in ((1, {0, 1}, False), (2, {0, 1}, True),
+                                  (None, {0, 1}, True), (1, {0}, True)):
+        monkeypatch.setattr(ppo, "openblas_threads", lambda: threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert (ppo._update_worker() is None) == inline
+
+
+def test_importing_the_package_makes_no_worker():
+    probe = ("import sys; import orchestra.cli; "
+             "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "False"
+
+
+def test_a_forked_child_makes_its_own_worker(monkeypatch, one_blas_thread):
+    # a fork copies no thread, so the child's update needs a worker of its own
+    monkeypatch.setattr(ppo, "_worker_fits", lambda: True)
+    cfg = tiny_cfg()
+
+    def update() -> bytes:
+        actor, critic, buffer = _collected(cfg)
+        gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda, norm_adv=True)
+        ppo_update(buffer, gae, actor, critic, cfg, Adam(actor.parameters, 1e-3),
+                   Adam(critic.parameters, 1e-3), np.random.default_rng(1))
+        return b"".join(p.data.tobytes() for p in actor.parameters + critic.parameters)
+
+    want = update()
+    parent_worker = ppo._worker
+    assert parent_worker is not None
+
+    def child():
+        got = update()
+        os._exit(0 if got == want and ppo._worker not in (None, parent_worker) else 1)
+
+    process = multiprocessing.get_context("fork").Process(target=child)
+    process.start()
+    process.join(timeout=60)
+    if process.exitcode is None:
+        process.kill()
+        process.join()
+        pytest.fail("the forked child's update did not finish")
+    assert process.exitcode == 0
 
 
 class _ScriptedSource(LearnerSource):
