@@ -101,7 +101,9 @@ class RunConfig:
         self.ppo.validate()
         self.hop.validate()
         require_positive(self, "total_timesteps", "max_ep_length", "max_eval_ep_len",
-                         "report_epoch", "eval_batch_size")
+                         "report_epoch", "eval_batch_size", "proc_num_levels")
+        if self.seed < 0:       # a SeedSequence takes no negative entropy
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         batch = self.ppo.batch_size
         if self.total_timesteps % 3 != 0 or (self.total_timesteps // 3) % batch != 0:
             raise ConfigError(
@@ -382,13 +384,14 @@ class Trainer:
 
     def _persist(self):
         """Write every attribute to state.pkl but those that load_trainer
-        rebuilds from config.json and the run directory."""
+        rebuilds from config.json and the run directory, at protocol 5,
+        which writes each array's buffer without copying it."""
         if not self.out_dir:
             return
         state = {k: v for k, v in vars(self).items() if k not in ("config", "out_dir", "plan")}
         tmp = self.out_dir / "state.pkl.tmp"
         with open(tmp, "wb") as f:
-            pickle.dump(state, f)
+            pickle.dump(state, f, protocol=5)
         os.replace(tmp, self.out_dir / "state.pkl")
 
     def report(self) -> MetricsReport:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, require_positive
-from .nn import Adam, Mlp, load_params, mlp_named_arrays, load_mlp_arrays, save_params
+from .nn import Adam, Mlp
 from .envs import LevelSpec
 from .ppo import (ActionSource, GaeOutput, PpoConfig, RolloutBuffer, UpdateStats,
                   play_episodes, ppo_update, replay)
@@ -46,15 +46,6 @@ class HopConfig:
         require_positive(self, "checkpoint_interval", "trusted_cap", "eval_episodes")
         if np.isnan(self.reward_limit):     # no return would pass the gate
             raise ConfigError("reward_limit must not be NaN")
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ContractError("cosine_similarity: zero vector")
-    return float(a @ b / (na * nb))
 
 
 def _digest(state_bytes: bytes) -> bytes:
@@ -496,7 +487,9 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
 
 
 def save_checkpoint(ckpt: CheckpointPolicy, directory, hop_cfg: HopConfig):
-    """Directory bundle: manifest + actor blob + trusted states."""
+    """Directory bundle: ``manifest.json`` and ``arrays.npz``, which holds the
+    actor's parameters as ``actor_0 ...`` in ``Mlp.parameters`` order, then
+    the trusted states as observed (``raw``) and their ``episode_returns``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -509,26 +502,25 @@ def save_checkpoint(ckpt: CheckpointPolicy, directory, hop_cfg: HopConfig):
     }
     with open(directory / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=1)
-    save_params(directory / "actor.blob", mlp_named_arrays(ckpt.actor))
-    save_params(directory / "trusted.blob", {
-        "raw": np.stack(ckpt.trusted.raw),
-        "episode_returns": np.asarray(ckpt.trusted.episode_returns),
-    })
+    actor = {f"actor_{i}": p.data for i, p in enumerate(ckpt.actor.parameters)}
+    np.savez(directory / "arrays.npz", **actor, raw=np.stack(ckpt.trusted.raw),
+             episode_returns=np.asarray(ckpt.trusted.episode_returns))
 
 
 def load_checkpoint(directory, rng: Optional[np.random.Generator] = None) -> CheckpointPolicy:
-    """A bundle written by ``save_checkpoint``; a ``units`` entry, which
-    older bundles carry, is ignored."""
+    """A bundle written by ``save_checkpoint``. ``np.load`` refuses an
+    archive that holds pickled objects (ValueError), and actor arrays whose
+    shapes do not fit ``actor_sizes`` raise DimensionError."""
     directory = Path(directory)
     with open(directory / "manifest.json") as f:
         manifest = json.load(f)
     actor = Mlp(manifest["actor_sizes"], np.random.default_rng(0))
-    load_mlp_arrays(actor, load_params(directory / "actor.blob"))
-    blobs = load_params(directory / "trusted.blob")
-    trusted = TrustedStateSet(cap=max(len(blobs["raw"]), 1),
-                              rng=rng or np.random.default_rng(0))
-    for raw, ret in zip(blobs["raw"], blobs["episode_returns"]):
-        trusted.add_episode([raw], float(ret))
+    with np.load(directory / "arrays.npz") as arrays:
+        actor.set_arrays([arrays[f"actor_{i}"] for i in range(len(actor.parameters))])
+        raw, returns = arrays["raw"], arrays["episode_returns"]
+    trusted = TrustedStateSet(cap=max(len(raw), 1), rng=rng or np.random.default_rng(0))
+    for state, ret in zip(raw, returns):
+        trusted.add_episode([state], float(ret))
     return CheckpointPolicy(
         index=manifest["index"],
         actor=actor,

@@ -1,9 +1,7 @@
-"""MLPs, categorical sampling, Adam, and flat-blob parameter serialization."""
+"""MLPs, categorical sampling, Adam and gradient clipping."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -221,48 +219,3 @@ def clip_grad_norm(params: Sequence[Tensor], max_norm: float) -> float:
                 p.grad *= scale
     return norm
 
-
-def save_params(path, named_arrays: dict[str, np.ndarray]):
-    """Write a flat little-endian float64 blob plus a JSON manifest."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    offset = 0
-    with open(path, "wb") as f:
-        for name, arr in named_arrays.items():
-            blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            f.write(blob)
-            manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-            offset += len(blob)
-    with open(path.with_suffix(path.suffix + ".manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=1)
-
-
-def load_params(path) -> dict[str, np.ndarray]:
-    path = Path(path)
-    with open(path.with_suffix(path.suffix + ".manifest.json")) as f:
-        manifest = json.load(f)
-    raw = path.read_bytes()
-    out = {}
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=start)
-        out[entry["name"]] = arr.reshape(shape).astype(np.float64)
-    return out
-
-
-def mlp_named_arrays(mlp: Mlp, prefix: str = "") -> dict[str, np.ndarray]:
-    out = {}
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        out[f"{prefix}w{i}"] = w.data
-        out[f"{prefix}b{i}"] = b.data
-    return out
-
-
-def load_mlp_arrays(mlp: Mlp, named: dict[str, np.ndarray], prefix: str = ""):
-    arrays = []
-    for i in range(len(mlp.weights)):
-        arrays.extend((named[f"{prefix}w{i}"], named[f"{prefix}b{i}"]))
-    mlp.set_arrays(arrays)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, asdict
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -71,6 +72,8 @@ class PpoConfig:
         # max_grad_norm turns clipping off
         if not self.max_grad_norm > 0.0:
             raise ConfigError(f"max_grad_norm must be positive, got {self.max_grad_norm}")
+        if not self.clip_coef >= 0.0:       # below 0, clip's bounds cross
+            raise ConfigError(f"clip_coef must be non-negative, got {self.clip_coef}")
         if not 0.0 <= self.vf_coef < np.inf:
             raise ConfigError(f"vf_coef must be finite and non-negative, got {self.vf_coef}")
         if not np.isfinite(self.ent_coef):
@@ -213,8 +216,9 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
     Each minibatch runs as two halves that share no parameter: the policy
     half (logits_fn, surrogate, entropy) and the value half (values_fn,
     value loss), each with its own backward. The gradient a parameter gets
-    is the one the joint loss would give it, bit for bit. The value half and
-    ``critic_opt``'s step run on ``_update_worker()`` when there is one.
+    is the one the joint loss would give it, bit for bit. Where
+    ``_worker_fits()``, the value half and ``critic_opt``'s step run on a
+    worker thread that lives as long as this call.
     """
     B = buffer.num_steps * buffer.num_envs
     obs_flat = buffer.obs.reshape(B, -1)
@@ -276,36 +280,36 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
             if any(p.grad is not None for p in opt.params):
                 opt.step()
 
-    worker = _update_worker()
-    pl_sum = vl_sum = ent_sum = kl_sum = cf_sum = gn_sum = 0.0
-    n_mb = 0
-    epochs_run = 0
-    for _epoch in range(cfg.update_epochs):
-        perm = rng.permutation(B)
-        epoch_kls = []
-        for start in range(0, B, cfg.minibatch_size):
-            idx = perm[start:start + cfg.minibatch_size]
-            ad.zero_grads(params)
-            (pg, ent, kl, cf), vl = _side_by_side(
-                worker, partial(policy_half, idx), partial(value_half, idx))
-            # the joint loss's value, summed as the joint graph summed it
-            if not np.isfinite(pg - cfg.ent_coef * ent + cfg.vf_coef * vl):
-                raise RuntimeError(
-                    f"ppo_update aborted: non-finite loss (pg={pg}, v={vl}, ent={ent})")
-            gn = clip_grad_norm(params, cfg.max_grad_norm)
-            _side_by_side(worker, partial(step, policy_opts), partial(step, [critic_opt]))
+    with _update_worker() as worker:
+        pl_sum = vl_sum = ent_sum = kl_sum = cf_sum = gn_sum = 0.0
+        n_mb = 0
+        epochs_run = 0
+        for _epoch in range(cfg.update_epochs):
+            perm = rng.permutation(B)
+            epoch_kls = []
+            for start in range(0, B, cfg.minibatch_size):
+                idx = perm[start:start + cfg.minibatch_size]
+                ad.zero_grads(params)
+                (pg, ent, kl, cf), vl = _side_by_side(
+                    worker, partial(policy_half, idx), partial(value_half, idx))
+                # the joint loss's value, summed as the joint graph summed it
+                if not np.isfinite(pg - cfg.ent_coef * ent + cfg.vf_coef * vl):
+                    raise RuntimeError(
+                        f"ppo_update aborted: non-finite loss (pg={pg}, v={vl}, ent={ent})")
+                gn = clip_grad_norm(params, cfg.max_grad_norm)
+                _side_by_side(worker, partial(step, policy_opts), partial(step, [critic_opt]))
 
-            epoch_kls.append(kl)
-            pl_sum += pg
-            vl_sum += vl
-            ent_sum += ent
-            kl_sum += kl
-            cf_sum += cf
-            gn_sum += gn
-            n_mb += 1
-        epochs_run += 1
-        if np.mean(epoch_kls) > cfg.target_kl:
-            break
+                epoch_kls.append(kl)
+                pl_sum += pg
+                vl_sum += vl
+                ent_sum += ent
+                kl_sum += kl
+                cf_sum += cf
+                gn_sum += gn
+                n_mb += 1
+            epochs_run += 1
+            if np.mean(epoch_kls) > cfg.target_kl:
+                break
     return UpdateStats(
         policy_loss=pl_sum / n_mb,
         value_loss=vl_sum / n_mb,
@@ -324,9 +328,8 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
 # thread while the main thread runs the policy half. Each half does the
 # arithmetic it does inline, and each BLAS call still runs one thread, so the
 # outputs do not depend on whether the worker ran. A multi-threaded BLAS
-# already uses the other cores, and there the halves run inline.
-
-_worker = None      # one ThreadPoolExecutor of one thread per process, made on first use
+# already uses the other cores, and there the halves run inline. Each update
+# makes its worker and joins it before it returns, so no thread outlives it.
 
 
 def _worker_fits() -> bool:
@@ -336,24 +339,12 @@ def _worker_fits() -> bool:
 
 
 def _update_worker():
-    """The worker thread's executor, or None where the halves run inline."""
-    global _worker
+    """A context holding one update's worker, a one-thread executor that
+    it shuts down on exit; where the halves run inline, it holds None."""
     if not _worker_fits():
-        return None
-    if _worker is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ppo-update")
-    return _worker
-
-
-def _forget_worker():
-    # a forked child has no copy of the parent's worker thread
-    global _worker
-    _worker = None
-
-
-if hasattr(os, "register_at_fork"):     # POSIX
-    os.register_at_fork(after_in_child=_forget_worker)
+        return nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="ppo-update")
 
 
 def _side_by_side(worker, main_call, worker_call):

@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -140,16 +141,19 @@ def test_ppo_config_rejects_bad_rates_and_discounts(key, value):
 def test_ppo_config_takes_edge_discounts_and_unbounded_clips():
     PpoConfig(gamma=0.0, gae_lambda=1.0, clip_coef=np.inf, target_kl=np.inf,
               max_grad_norm=np.inf).validate()
-    PpoConfig(gamma=1.0, gae_lambda=0.0, clip_coef=-1.0, target_kl=-1.0,
+    PpoConfig(gamma=1.0, gae_lambda=0.0, clip_coef=0.0, target_kl=-1.0,
               vf_coef=0.0, ent_coef=0.0).validate()
 
 
 @pytest.mark.parametrize("key,value", [
     ("reward_limit", np.nan), ("max_grad_norm", np.nan), ("max_grad_norm", 0.0),
-    ("max_grad_norm", -1.0), ("vf_coef", -0.5), ("vf_coef", np.nan), ("ent_coef", np.nan)])
+    ("max_grad_norm", -1.0), ("vf_coef", -0.5), ("vf_coef", np.nan), ("ent_coef", np.nan),
+    ("clip_coef", -0.1), ("clip_coef", np.nan), ("seed", -1), ("proc_num_levels", 0)])
 def test_config_rejects_a_value_that_silently_breaks_a_run(key, value):
     # reward_limit=nan fails every checkpoint gate, max_grad_norm=nan turns
-    # clipping off, a negative vf_coef trains the critic uphill
+    # clipping off, a negative vf_coef trains the critic uphill, a negative
+    # clip_coef clips every ratio to 1 + clip_coef; a NaN clip_coef, a
+    # negative seed and no levels would fail only later, without the key
     flat = config_to_flat_dict(tiny_run_config("hop"))
     flat[key] = value
     with pytest.raises(ConfigError, match=key):
@@ -351,6 +355,41 @@ def test_resume_with_checkpoint_gradients_is_bit_identical(tmp_path):
     Trainer(config(), tmp_path / "part").run(max_iterations=3)
     resume(tmp_path / "part")
     for name in ("updates.jsonl", "metrics.csv"):
+        assert (tmp_path / "part" / name).read_bytes() == \
+               (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_persist_makes_no_copy_of_the_state_arrays(tmp_path):
+    cfg = tiny_run_config("hop")
+    cfg.hop.reward_limit = -100.0
+    trainer = Trainer(cfg, tmp_path)
+    trainer.run(max_iterations=2)
+    assert len(trainer.orchestra) == 1
+    tracemalloc.start()
+    try:
+        trainer._persist()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "state.pkl").stat().st_size > 8e6
+    assert peak < 1e6
+
+
+def test_a_protocol_4_state_resumes(tmp_path):
+    # every state.pkl before protocol 5 was written at protocol 4
+    def config():
+        cfg = tiny_run_config("hop", seed=3)
+        cfg.hop.reward_limit = -100.0
+        cfg.hop.checkpoint_gradients = True
+        return cfg
+
+    run_three_phase(config(), tmp_path / "full")
+    Trainer(config(), tmp_path / "part").run(max_iterations=3)
+    state = tmp_path / "part" / "state.pkl"
+    assert state.read_bytes()[:2] == b"\x80\x05"
+    state.write_bytes(pickle.dumps(pickle.loads(state.read_bytes()), protocol=4))
+    resume(tmp_path / "part")
+    for name in ("updates.jsonl", "metrics.csv", "summary.json"):
         assert (tmp_path / "part" / name).read_bytes() == \
                (tmp_path / "full" / name).read_bytes(), name
 

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 
 import numpy as np
@@ -8,13 +9,13 @@ from hypothesis import strategies as st
 
 from orchestra import autodiff as ad
 from orchestra.envs import EnvInstance, LevelSpec, N_ACTIONS, OBS_DIM
-from orchestra.errors import ContractError
+from orchestra.errors import ContractError, DimensionError
 from orchestra.hop import (CheckpointPolicy, HopConfig, JoinedIndex,
                            JoinedSource, Orchestra, TrustedStateSet, checkpoint_now,
-                           cosine_similarity, expand_joined,
+                           expand_joined,
                            hierarchical_weights, joined_records, load_checkpoint,
                            masked_policy_update, save_checkpoint)
-from orchestra.nn import Adam, Mlp, save_params
+from orchestra.nn import Adam, Mlp
 from orchestra.ppo import (GaeOutput, PpoConfig, RolloutBuffer,
                            collect_rollout, compute_gae, ppo_update)
 
@@ -22,15 +23,6 @@ from conftest import assert_parameters_stay_aligned
 
 
 # --- similarity and activation ------------------------------------------------
-
-
-def test_cosine_similarity_examples():
-    v = np.array([3.0, 4.0, 0.0])
-    assert abs(cosine_similarity(v, 2.5 * v) - 1.0) < 1e-12
-    assert abs(cosine_similarity([1, 0, 0], [0, 1, 0])) < 1e-12
-    assert abs(cosine_similarity([1, 1, 0], [1, 0, 0]) - 1 / np.sqrt(2)) < 1e-12
-    with pytest.raises(ContractError):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
 
 
 def _filled_set(rng, n, dim=8, cap=None):
@@ -46,7 +38,7 @@ def test_find_most_similar_matches_brute_force_scan():
     for _ in range(50):
         q = rng.random(16) + 0.01
         best_raw, best_sim, best_idx = ts.find_most_similar(q)
-        sims = [cosine_similarity(s, q) for s in states]
+        sims = states @ q / (np.linalg.norm(states, axis=1) * np.linalg.norm(q))
         oracle_idx = int(np.argmax(sims))
         assert best_idx == oracle_idx
         assert abs(best_sim - sims[oracle_idx]) < 1e-12
@@ -84,6 +76,19 @@ def test_activation_threshold_is_strict():
     assert not expand_joined(orch, just_below, omega)[0].bitmask[0]
     # exact match always activates
     assert expand_joined(orch, 3.0 * u, omega)[0].bitmask[0]
+
+
+def test_an_all_zero_query_is_refused():
+    rng = np.random.default_rng(4)
+    ts, _ = _filled_set(rng, 5)
+    source = JoinedSource(_tiny_actor(rng), Orchestra([_ckpt(1, _tiny_actor(rng), ts)]),
+                          HopConfig())
+    queries = np.ones((3, 8))
+    queries[1] = 0.0
+    with pytest.raises(ContractError, match="nonzero"):
+        source.logits_and_aux(queries)
+    with pytest.raises(ContractError, match="nonzero"):
+        ts.find_most_similar(np.zeros(8))
 
 
 # --- hierarchical recency weights ----------------------------------------------
@@ -767,31 +772,64 @@ def test_routed_gradients_need_an_optimizer_on_every_checkpoint():
 # --- serialization -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("layout", ["raw", "raw+units"])
-def test_checkpoint_bundle_round_trip(tmp_path, layout):
+def test_checkpoint_bundle_round_trip(tmp_path):
     rng = np.random.default_rng(70)
-    ts, states = _filled_set(rng, 12, dim=OBS_DIM)
-    ckpt = _ckpt(3, Mlp([OBS_DIM, 8, N_ACTIONS], rng), ts, step=4096)
+    ts, states = _filled_set(rng, 1200, dim=OBS_DIM)
+    ckpt = _ckpt(3, Mlp([OBS_DIM, 256, 256, N_ACTIONS], rng), ts, step=4096)
     save_checkpoint(ckpt, tmp_path / "ckpt", HopConfig())
-    if layout == "raw+units":   # older bundles also stored the unit vectors
-        save_params(tmp_path / "ckpt" / "trusted.blob", {
-            "units": ts.matrix,
-            "raw": np.stack(ts.raw),
-            "episode_returns": np.asarray(ts.episode_returns),
-        })
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == ["arrays.npz",
+                                                                   "manifest.json"]
     loaded = load_checkpoint(tmp_path / "ckpt")
     assert loaded.index == 3 and loaded.created_step == 4096
-    q = rng.random((2, OBS_DIM))
-    assert np.array_equal(ckpt.actor.forward_np(q), loaded.actor.forward_np(q))
+    assert loaded.actor.sizes == ckpt.actor.sizes
+    assert [p.data.tobytes() for p in loaded.actor.parameters] == \
+           [p.data.tobytes() for p in ckpt.actor.parameters]
+    assert [s.tobytes() for s in loaded.trusted.raw] == [s.tobytes() for s in ts.raw]
+    assert np.asarray(loaded.trusted.episode_returns).tobytes() == \
+           np.asarray(ts.episode_returns).tobytes()
     assert_parameters_stay_aligned(loaded.actor.parameters)
-    assert np.array_equal(ckpt.trusted.matrix, loaded.trusted.matrix)
-    assert ckpt.trusted.episode_returns == loaded.trusted.episode_returns
-    a = ckpt.trusted.find_most_similar(q[0])
-    b = loaded.trusted.find_most_similar(q[0])
-    assert a[1] == b[1] and a[2] == b[2]
+    q = rng.random(OBS_DIM)
+    assert ckpt.trusted.find_most_similar(q)[1:] == loaded.trusted.find_most_similar(q)[1:]
     # the loaded set still deduplicates against what it stores
     loaded.trusted.add_episode([states[5]], 9.0)
     assert len(loaded.trusted) == len(ts)
+
+
+TRIPPED = []
+
+
+def _trip():
+    TRIPPED.append(True)
+
+
+class _Tripwire:
+    """An object whose unpickling records that it happened."""
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+def test_a_bundle_holding_an_object_array_is_refused(tmp_path):
+    rng = np.random.default_rng(72)
+    ts, _ = _filled_set(rng, 4, dim=OBS_DIM)
+    save_checkpoint(_ckpt(1, Mlp([OBS_DIM, 8, N_ACTIONS], rng), ts), tmp_path, HopConfig())
+    with np.load(tmp_path / "arrays.npz") as arrays:
+        kept = dict(arrays)
+    np.savez(tmp_path / "arrays.npz", **{**kept, "raw": np.array([_Tripwire()] * 4)})
+    with pytest.raises(ValueError, match="allow_pickle"):
+        load_checkpoint(tmp_path)
+    assert TRIPPED == []
+
+
+def test_actor_arrays_that_do_not_fit_the_actor_sizes_are_refused(tmp_path):
+    rng = np.random.default_rng(73)
+    ts, _ = _filled_set(rng, 4, dim=OBS_DIM)
+    save_checkpoint(_ckpt(1, Mlp([OBS_DIM, 8, N_ACTIONS], rng), ts), tmp_path, HopConfig())
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({**manifest, "actor_sizes": [OBS_DIM, 9, N_ACTIONS]}))
+    with pytest.raises(DimensionError):
+        load_checkpoint(tmp_path)
 
 
 def test_pickled_trusted_set_leaves_out_its_matrix():

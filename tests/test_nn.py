@@ -6,9 +6,7 @@ import pytest
 from orchestra import autodiff as ad
 from orchestra.autodiff import Tensor, softmax_np
 from orchestra.errors import ContractError, DimensionError
-from orchestra.nn import (Adam, Mlp, load_mlp_arrays, load_params,
-                          mlp_named_arrays, sample_categorical_batch,
-                          save_params)
+from orchestra.nn import Adam, Mlp, sample_categorical_batch
 from orchestra.pnn import PnnStack
 
 from conftest import assert_parameters_stay_aligned
@@ -149,16 +147,6 @@ def test_adam_single_step_matches_formula(rng):
     assert np.abs(p.data - expected).max() < 1e-12
 
 
-def test_parameter_blob_round_trip(tmp_path, rng):
-    net = Mlp([6, 5, 4], rng)
-    save_params(tmp_path / "net.blob", mlp_named_arrays(net))
-    loaded = load_params(tmp_path / "net.blob")
-    twin = Mlp([6, 5, 4], np.random.default_rng(999))
-    load_mlp_arrays(twin, loaded)
-    x = rng.normal(size=(2, 6))
-    assert np.array_equal(net.forward_np(x), twin.forward_np(x))
-
-
 # --- sparse first layer ---------------------------------------------------------
 
 
@@ -290,19 +278,18 @@ def test_numpy_output_layer_refuses_a_non_finite_output(rng):
     assert np.isnan(net.forward(x).data[:, 1]).all()
 
 
-def test_parameters_stay_aligned_after_construction_clone_and_set_arrays(tmp_path):
+def test_parameters_stay_aligned_after_construction_clone_and_set_arrays():
     rng = np.random.default_rng(6)
     net = Mlp([405, 256, 256, 8], rng)
     assert_parameters_stay_aligned(net.parameters)
     assert_parameters_stay_aligned(net.clone().parameters)
-    # load_params hands out arrays at the blob's offsets
-    save_params(tmp_path / "net.blob", mlp_named_arrays(Mlp([405, 256, 256, 8], rng)))
-    loaded = load_params(tmp_path / "net.blob")
+    # set_arrays copies into the aligned arrays, wherever its own arrays start
+    arrays = [np.concatenate([[0.0], a.ravel()])[1:].reshape(a.shape)
+              for a in Mlp([405, 256, 256, 8], rng).get_arrays()]
     data = [p.data for p in net.parameters]
-    load_mlp_arrays(net, loaded)
+    net.set_arrays(arrays)
     assert all(p.data is d for p, d in zip(net.parameters, data))
-    assert all(np.array_equal(p.data, a) for p, a in
-               zip(net.parameters, mlp_named_arrays(net).values()))
+    assert all(np.array_equal(p.data, a) for p, a in zip(net.parameters, arrays))
     assert_parameters_stay_aligned(net.parameters)
     for small in (Mlp([4, 3, 2], rng), Mlp([3, 1, 3], rng)):
         assert_parameters_stay_aligned(small.parameters)

@@ -428,7 +428,34 @@ def test_the_update_runs_inline_unless_one_blas_thread_and_two_cpus(monkeypatch)
                                   (None, {0, 1}, True), (1, {0}, True)):
         monkeypatch.setattr(ppo, "openblas_threads", lambda: threads)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        assert (ppo._update_worker() is None) == inline
+        with ppo._update_worker() as worker:
+            assert (worker is None) == inline
+
+
+def _update_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("ppo-update")]
+
+
+def test_no_worker_thread_outlives_its_update(monkeypatch):
+    monkeypatch.setattr(ppo, "_worker_fits", lambda: True)
+    backward = ad.backward
+    seen = set()
+
+    def recorded(loss):
+        seen.update(_update_threads())
+        backward(loss)
+
+    monkeypatch.setattr(ad, "backward", recorded)
+    cfg = tiny_cfg(update_epochs=1, num_minibatches=1)
+    actor, critic, buffer = _collected(cfg)
+    gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
+    opts = [Adam(actor.parameters, 1e-3), Adam(critic.parameters, 1e-3)]
+    ppo_update(buffer, gae, actor, critic, cfg, *opts, np.random.default_rng(1))
+    assert seen and not _update_threads()
+    gae.returns[:] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite loss"):
+        ppo_update(buffer, gae, actor, critic, cfg, *opts, np.random.default_rng(1))
+    assert not _update_threads()
 
 
 def test_importing_the_package_makes_no_worker():
@@ -452,12 +479,9 @@ def test_a_forked_child_makes_its_own_worker(monkeypatch, one_blas_thread):
         return b"".join(p.data.tobytes() for p in actor.parameters + critic.parameters)
 
     want = update()
-    parent_worker = ppo._worker
-    assert parent_worker is not None
 
     def child():
-        got = update()
-        os._exit(0 if got == want and ppo._worker not in (None, parent_worker) else 1)
+        os._exit(0 if update() == want else 1)
 
     process = multiprocessing.get_context("fork").Process(target=child)
     process.start()
