@@ -772,11 +772,18 @@ def test_routed_gradients_need_an_optimizer_on_every_checkpoint():
 # --- serialization -----------------------------------------------------------------
 
 
-def test_checkpoint_bundle_round_trip(tmp_path):
+@pytest.mark.parametrize("layout", ["raw", "raw+units"])
+def test_checkpoint_bundle_round_trip(tmp_path, layout):
     rng = np.random.default_rng(70)
     ts, states = _filled_set(rng, 1200, dim=OBS_DIM)
     ckpt = _ckpt(3, Mlp([OBS_DIM, 256, 256, N_ACTIONS], rng), ts, step=4096)
     save_checkpoint(ckpt, tmp_path / "ckpt", HopConfig())
+    # an archive that also holds unit vectors, out of order: the loader must
+    # ignore them and derive the similarity scan from raw
+    if layout == "raw+units":
+        with np.load(tmp_path / "ckpt" / "arrays.npz") as arrays:
+            kept = dict(arrays)
+        np.savez(tmp_path / "ckpt" / "arrays.npz", **kept, units=ts.matrix[::-1])
     assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == ["arrays.npz",
                                                                    "manifest.json"]
     loaded = load_checkpoint(tmp_path / "ckpt")

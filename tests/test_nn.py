@@ -147,6 +147,19 @@ def test_adam_single_step_matches_formula(rng):
     assert np.abs(p.data - expected).max() < 1e-12
 
 
+def test_parameter_blob_round_trip(tmp_path, rng):
+    # the checkpoint bundle stores an actor as get_arrays() in an .npz
+    net = Mlp([6, 5, 4], rng)
+    np.savez(tmp_path / "net.npz", *net.get_arrays())
+    twin = Mlp([6, 5, 4], np.random.default_rng(999))
+    with np.load(tmp_path / "net.npz") as arrays:
+        twin.set_arrays([arrays[f"arr_{i}"] for i in range(len(twin.parameters))])
+    assert [p.data.tobytes() for p in twin.parameters] == \
+           [p.data.tobytes() for p in net.parameters]
+    x = rng.normal(size=(2, 6))
+    assert np.array_equal(net.forward_np(x), twin.forward_np(x))
+
+
 # --- sparse first layer ---------------------------------------------------------
 
 
