@@ -14,7 +14,6 @@ import json
 import os
 import pickle
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Sequence
@@ -214,12 +213,16 @@ def read_metrics_csv(path) -> list[MetricsRow]:
 
 
 class Trainer:
-    """Owns all mutable run state; picklable at rollout boundaries."""
+    """Owns all mutable run state; picklable at rollout boundaries. It
+    refuses an ``out_dir`` that already holds a run's config.json."""
 
     def __init__(self, config: RunConfig, out_dir: Optional[str] = None):
         config.validate()
         self.config = config
         self.out_dir = Path(out_dir) if out_dir else None
+        if self.out_dir and (self.out_dir / "config.json").exists():
+            raise ConfigError(f"{self.out_dir} already holds a run; continue it with "
+                              f"`orchestra resume --out {self.out_dir}`")
         self.plan = config.plan()
         self.global_step = 0
         self.iteration = 0
@@ -287,7 +290,7 @@ class Trainer:
             if phase_idx != self.current_phase:
                 self._enter_phase(phase_idx)
             source = self._source(self.current_phase)
-            buffer = collect_rollout(source, self.vecenv, self._value_fn(),
+            buffer = collect_rollout(source, self.vecenv, self._critic().forward_np,
                                      cfg.ppo, self.train_rng)
             gae = compute_gae(buffer, cfg.ppo.gamma, cfg.ppo.gae_lambda,
                               norm_adv=cfg.ppo.norm_adv)
@@ -307,12 +310,11 @@ class Trainer:
             self._persist()
         return self.report()
 
-    def _value_fn(self):
+    def _critic(self):
+        """The current phase's critic: the learner's, or the active column's."""
         if self.stack is not None:
-            # the value source is the active column with its adapters
-            task = self.plan.phases[self.current_phase].task_id()
-            return partial(self.stack.net_forward_np, task, "critic")
-        return self.critic.forward_np
+            return self.stack.net(self.plan.phases[self.current_phase].task_id(), "critic")
+        return self.critic
 
     def _update(self, buffer, gae):
         cfg = self.config
@@ -432,10 +434,10 @@ def resume(out_dir) -> MetricsReport:
 
     Refuses with ConfigError when the numpy/BLAS environment differs from
     the one recorded when the run started, since the rerun would then not be
-    bit-identical. Update records written after that boundary (the run
-    stopped between logging an update and persisting it) are dropped, so
-    the rerun iterations do not log them twice; so is a last line the stop
-    cut short.
+    bit-identical, or when run_env.json is missing. Update records written
+    after that boundary (the run stopped between logging an update and
+    persisting it) are dropped, so the rerun iterations do not log them
+    twice; so is a last line the stop cut short.
     """
     _check_run_environment(out_dir)
     trainer = load_trainer(out_dir)
@@ -474,10 +476,11 @@ def run_environment() -> dict:
 
 def _check_run_environment(out_dir):
     """Raise ConfigError if the run's recorded environment differs from this
-    process's. Runs recorded before run_env.json existed are not checked."""
+    process's, or was not recorded: every run with a directory records it."""
     path = Path(out_dir) / RUN_ENV
     if not path.exists():
-        return
+        raise ConfigError(f"{path} is missing, so a resumed run could not be "
+                          "checked to be bit-identical")
     recorded = json.loads(path.read_text())
     current = run_environment()
     drift = [f"{key}: {recorded.get(key)!r} -> {current.get(key)!r}"

@@ -12,7 +12,7 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError
 from .nn import Adam, Mlp
-from .ppo import (ActionSource, GaeOutput, PpoConfig, RolloutBuffer,
+from .ppo import (GaeOutput, LearnerSource, PpoConfig, RolloutBuffer,
                   UpdateStats, ppo_update)
 
 
@@ -85,64 +85,60 @@ class PnnStack:
             raise ConfigError(f"unknown task id {task_id!r}; add_column first")
         return self.task_index[task_id]
 
-    def _sources(self, col_idx: int, net: str, x: np.ndarray):
-        """Each earlier column's ``max(h, 0)`` of its last hidden layer at
-        ``x``, with the adapter that carries it into column ``col_idx``."""
-        for src in range(col_idx):
-            src_h = getattr(self.columns[src], net).hidden_np(x)
-            yield np.maximum(src_h, 0.0), self.adapters[(net, src, col_idx)]
-
-    def net_forward_np(self, task_id: str, net: str, obs: np.ndarray) -> np.ndarray:
-        """Output of the task's ``net`` column ("actor" or "critic") with its
-        adapters, for a batch of observations."""
-        col_idx = self._column(task_id)
-        mlp: Mlp = getattr(self.columns[col_idx], net)
-        h = mlp.hidden_np(obs)
-        for feats, adp in self._sources(col_idx, net, obs):
-            h = h + (feats @ adp.weight.data + adp.bias.data)
-        return mlp.head(h)
-
-    def _net_forward_graph(self, col_idx: int, net: str, x: np.ndarray) -> Tensor:
-        mlp: Mlp = getattr(self.columns[col_idx], net)
-        h = mlp.hidden(x)
-        for feats, adp in self._sources(col_idx, net, x):
-            h = h + (Tensor(feats) @ adp.weight + adp.bias)
-        return mlp.head(h)
+    def net(self, task_id: str, net: str) -> ColumnNet:
+        """The task's ``net`` column ("actor" or "critic") with its adapters."""
+        return ColumnNet(self, self._column(task_id), net)
 
     def forward_with_adapters(self, task_id: str, obs: np.ndarray):
         """(logits, value) for a batch of observations under the task's column."""
-        return (self.net_forward_np(task_id, "actor", obs),
-                self.net_forward_np(task_id, "critic", obs)[:, 0])
+        return (self.net(task_id, "actor").forward_np(obs),
+                self.net(task_id, "critic").forward_np(obs)[:, 0])
 
 
-class ColumnSource(ActionSource):
+class ColumnNet:
+    """A column's actor or critic with the adapters into it, a network with
+    ``Mlp``'s ``forward`` and ``forward_np``: its last hidden layer plus each
+    earlier column's ``max(h, 0)`` through its adapter, then its output
+    layer. A view built on demand: the stack stores nothing for it."""
+
+    def __init__(self, stack: PnnStack, col_idx: int, net: str):
+        self.mlp: Mlp = getattr(stack.columns[col_idx], net)
+        self.feeds = [(getattr(stack.columns[src], net), stack.adapters[(net, src, col_idx)])
+                      for src in range(col_idx)]
+
+    def _sources(self, x: np.ndarray):
+        for src, adp in self.feeds:
+            yield np.maximum(src.hidden_np(x), 0.0), adp
+
+    def forward(self, x) -> Tensor:
+        """On the tape; ``x`` is an ndarray or a Tensor off the tape."""
+        h = self.mlp.hidden(x)
+        x = x.data if isinstance(x, Tensor) else x
+        for feats, adp in self._sources(x):
+            h = h + (Tensor(feats) @ adp.weight + adp.bias)
+        return self.mlp.head(h)
+
+    def forward_np(self, x: np.ndarray) -> np.ndarray:
+        h = self.mlp.hidden_np(x)
+        for feats, adp in self._sources(x):
+            h = h + (feats @ adp.weight.data + adp.bias.data)
+        return self.mlp.head(h)
+
+
+class ColumnSource(LearnerSource):
+    """Acts with the task's actor column and its adapters."""
+
     def __init__(self, stack: PnnStack, task_id: str):
-        self.stack = stack
+        super().__init__(stack.net(task_id, "actor"))
         self.task_id = task_id
-
-    def logits_and_aux(self, obs_batch: np.ndarray):
-        logits = self.stack.net_forward_np(self.task_id, "actor", obs_batch)
-        return logits, [None] * obs_batch.shape[0]
 
 
 def pnn_update(stack: PnnStack, task_id: str, buffer: RolloutBuffer,
                gae: GaeOutput, cfg: PpoConfig,
                rng: np.random.Generator) -> UpdateStats:
-    """PPO update routing gradients to the active column and its adapters."""
+    """PPO update of the task's column and the adapters into it."""
     col_idx = stack._column(task_id)
     col = stack.columns[col_idx]
-    B = buffer.num_steps * buffer.num_envs
-    obs_flat = buffer.obs.reshape(B, -1)
-
-    def logits_fn(idx):
-        return stack._net_forward_graph(col_idx, "actor", obs_flat[idx])
-
-    def values_fn(idx):
-        return stack._net_forward_graph(col_idx, "critic", obs_flat[idx])
-
     extra_opts = [stack.adapter_opts[col_idx]] if col_idx in stack.adapter_opts else []
-    return ppo_update(buffer, gae, col.actor, col.critic, cfg,
-                      col.actor_opt, col.critic_opt, rng,
-                      logits_fn=logits_fn, values_fn=values_fn,
-                      extra_opts=extra_opts)
-
+    return ppo_update(buffer, gae, stack.net(task_id, "actor"), stack.net(task_id, "critic"),
+                      cfg, col.actor_opt, col.critic_opt, rng, extra_opts=extra_opts)

@@ -76,6 +76,8 @@ class PpoConfig:
             raise ConfigError(f"clip_coef must be non-negative, got {self.clip_coef}")
         if not 0.0 <= self.vf_coef < np.inf:
             raise ConfigError(f"vf_coef must be finite and non-negative, got {self.vf_coef}")
+        if np.isnan(self.target_kl):     # inf turns the early stop off
+            raise ConfigError(f"target_kl must not be NaN, got {self.target_kl}")
         if not np.isfinite(self.ent_coef):
             raise ConfigError(f"ent_coef must be finite, got {self.ent_coef}")
 
@@ -202,21 +204,21 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
                cfg: PpoConfig, actor_opt: Adam, critic_opt: Adam,
                rng: np.random.Generator,
                logits_fn: Optional[Callable[[np.ndarray], Tensor]] = None,
-               values_fn: Optional[Callable[[np.ndarray], Tensor]] = None,
                extra_opts: Sequence[Adam] = ()) -> UpdateStats:
     """Clipped-surrogate update with entropy bonus and target-KL early stop.
 
-    logits_fn(flat_indices) and values_fn(flat_indices) give the minibatch's
-    logits and values as Tensors; they default to the plain actor and critic
-    forwards. The optimizers name what the update trains: the parameters of
-    ``actor_opt``, ``critic_opt`` and ``extra_opts`` are zeroed, clipped and
-    stepped, in that order. The epoch loop stops at an epoch boundary once
-    mean approximate KL exceeds target_kl.
+    The actor and critic are networks with ``Mlp``'s ``forward``.
+    logits_fn(flat_indices) gives the minibatch's logits as a Tensor; it
+    defaults to the actor's forward. The optimizers name what the update
+    trains: the parameters of ``actor_opt``, ``critic_opt`` and
+    ``extra_opts`` are zeroed, clipped and stepped, in that order. The
+    epoch loop stops at an epoch boundary once mean approximate KL exceeds
+    target_kl.
 
     Each minibatch runs as two halves that share no parameter: the policy
-    half (logits_fn, surrogate, entropy) and the value half (values_fn,
-    value loss), each with its own backward. The gradient a parameter gets
-    is the one the joint loss would give it, bit for bit. Where
+    half (logits_fn, surrogate, entropy) and the value half (the critic's
+    forward, value loss), each with its own backward. The gradient a
+    parameter gets is the one the joint loss would give it, bit for bit. Where
     ``_worker_fits()``, the value half and ``critic_opt``'s step run on a
     worker thread that lives as long as this call.
     """
@@ -231,9 +233,6 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
     if logits_fn is None:
         def logits_fn(idx):
             return actor.forward(Tensor(obs_flat[idx]))
-    if values_fn is None:
-        def values_fn(idx):
-            return critic.forward(Tensor(obs_flat[idx]))
     opts = [actor_opt, critic_opt, *extra_opts]
     params = [p for opt in opts for p in opt.params]
     policy_opts = [actor_opt, *extra_opts]
@@ -259,7 +258,7 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
 
     def value_half(idx):
         """The value loss."""
-        v = values_fn(idx).reshape(-1)
+        v = critic.forward(Tensor(obs_flat[idx])).reshape(-1)
         if cfg.clip_vloss:
             v_old = Tensor(val_flat[idx])
             v_clipped = v_old + ad.clip(v - v_old, -cfg.clip_coef, cfg.clip_coef)

@@ -110,7 +110,7 @@ def test_gradient_correctness_vs_finite_differences():
                           + stack.columns[1].actor.parameters)
 
         def adapter_loss():
-            logits = stack._net_forward_graph(1, "actor", obs)
+            logits = stack.net("b", "actor").forward(obs)
             logp = ad.pick(ad.log_softmax(logits), acts)
             return -(logp * Tensor(adv)).mean()
 

@@ -148,12 +148,14 @@ def test_ppo_config_takes_edge_discounts_and_unbounded_clips():
 @pytest.mark.parametrize("key,value", [
     ("reward_limit", np.nan), ("max_grad_norm", np.nan), ("max_grad_norm", 0.0),
     ("max_grad_norm", -1.0), ("vf_coef", -0.5), ("vf_coef", np.nan), ("ent_coef", np.nan),
-    ("clip_coef", -0.1), ("clip_coef", np.nan), ("seed", -1), ("proc_num_levels", 0)])
+    ("clip_coef", -0.1), ("clip_coef", np.nan), ("seed", -1), ("proc_num_levels", 0),
+    ("target_kl", np.nan)])
 def test_config_rejects_a_value_that_silently_breaks_a_run(key, value):
     # reward_limit=nan fails every checkpoint gate, max_grad_norm=nan turns
     # clipping off, a negative vf_coef trains the critic uphill, a negative
-    # clip_coef clips every ratio to 1 + clip_coef; a NaN clip_coef, a
-    # negative seed and no levels would fail only later, without the key
+    # clip_coef clips every ratio to 1 + clip_coef, a NaN target_kl never
+    # stops an update early; a NaN clip_coef, a negative seed and no levels
+    # would fail only later, without the key
     flat = config_to_flat_dict(tiny_run_config("hop"))
     flat[key] = value
     with pytest.raises(ConfigError, match=key):
@@ -435,6 +437,9 @@ def test_resume_refuses_a_changed_run_environment(tmp_path):
         (tmp_path / "run_env.json").write_text(json.dumps({**recorded, key: value}))
         with pytest.raises(ConfigError, match=f"{key}: {value!r}"):
             resume(tmp_path)
+    (tmp_path / "run_env.json").unlink()
+    with pytest.raises(ConfigError, match="run_env.json is missing"):
+        resume(tmp_path)
     (tmp_path / "run_env.json").write_text(json.dumps(recorded))
     assert [r.step for r in resume(tmp_path).rows] == [32, 64, 96]
 
@@ -467,6 +472,19 @@ def test_resume_reads_persisted_flat_config(tmp_path):
     assert stored == config_to_flat_dict(cfg)
     report = resume(tmp_path)
     assert [r.step for r in report.rows] == [32, 64, 96]
+
+
+def test_a_trainer_refuses_a_directory_that_holds_a_run(tmp_path):
+    Trainer(tiny_run_config("hop"), tmp_path).run(max_iterations=4)
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert {"config.json", "run_env.json", "updates.jsonl", "state.pkl"} <= \
+        {p.name for p in files}
+    with pytest.raises(ConfigError, match="orchestra resume"):
+        Trainer(tiny_run_config("hop"), tmp_path)
+    with pytest.raises(ConfigError, match="orchestra resume"):
+        run_three_phase(tiny_run_config("ppo", seed=2), tmp_path)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+    assert load_trainer(tmp_path).global_step == 64
 
 
 def test_updates_log_is_one_json_record_per_rollout(tmp_path):

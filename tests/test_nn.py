@@ -254,7 +254,7 @@ def test_pnn_graph_gradients_equal_a_per_layer_graph():
     adapter.bias.data = rng.normal(size=16)
     x = _binary_batch(rng, 64)
     y = Tensor(rng.normal(size=(64, 5)))
-    out = stack._net_forward_graph(1, "actor", x)
+    out = stack.net("b", "actor").forward(x)
     ad.backward((out - y).square().mean())
 
     actor = stack.columns[1].actor

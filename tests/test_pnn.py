@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from orchestra.autodiff import Tensor
 from orchestra.envs import LevelSpec, N_ACTIONS, OBS_DIM, VecEnv
 from orchestra.errors import ConfigError, ContractError
 from orchestra.nn import Adam, Mlp
@@ -62,6 +63,22 @@ def test_two_column_forward_matches_hand_rolled_oracle():
     want = h_aug @ a1.weights[-1].data + a1.biases[-1].data
     got, _ = stack.forward_with_adapters("b", x)
     assert np.abs(got - want).max() < 1e-12
+
+
+def test_a_column_net_takes_an_array_or_a_tensor_off_the_tape():
+    stack = make_stack()
+    stack.add_column("a")
+    stack.add_column("b")
+    rng = np.random.default_rng(4)
+    for adp in stack.adapters.values():
+        adp.weight.data = rng.standard_normal(adp.weight.data.shape) * 0.3
+    x = rng.random((3, OBS_DIM))
+    net = stack.net("b", "actor")
+    want = net.forward_np(x)
+    assert np.array_equal(net.forward(x).data, want)
+    assert np.array_equal(net.forward(Tensor(x)).data, want)
+    with pytest.raises(ContractError):
+        net.forward(Tensor(x, requires_grad=True))
 
 
 def _rollout_for(stack, task, cfg, env_seed=7, rng_seed=11):
@@ -150,4 +167,4 @@ def test_a_non_finite_column_output_raises(task, net):
     stack.add_column("b")
     getattr(stack.columns[stack._column(task)], net).biases[-1].data[0] = np.inf
     with pytest.raises(ContractError, match="non-finite"):
-        stack.net_forward_np(task, net, np.zeros((2, OBS_DIM)))
+        stack.net(task, net).forward_np(np.zeros((2, OBS_DIM)))
