@@ -5,6 +5,7 @@ import argparse
 import json
 from pathlib import Path
 
+from .errors import ConfigError
 from .harness import (aggregate, config_from_flat_dict, export_metrics,
                       load_trainer, resume, run_three_phase, summarize)
 
@@ -68,8 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.func(args)
+    except ConfigError as err:
+        parser.exit(2, f"{parser.prog}: error: {err}\n")
 
 
 if __name__ == "__main__":

@@ -174,35 +174,38 @@ class Adam:
             self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
-        self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1, bc2 = self.bias_correction()
         for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            if g.shape != p.data.shape:
-                raise DimensionError(
-                    f"gradient shape {g.shape} != parameter shape {p.data.shape}"
-                )
-            # in place, operation for operation the same arithmetic as
-            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
-            # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
-            m, v = self.m[i], self.v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            g2 = (1.0 - self.beta2) * g
-            g2 *= g
-            v *= self.beta2
-            v += g2
-            step = m / bc1
-            step *= self.learning_rate
-            denom = np.divide(v, bc2, out=g2)
-            np.sqrt(denom, out=denom)
-            denom += self.epsilon
-            step /= denom
-            np.subtract(p.data, step, out=p.data)   # the weights never move
+            if p.grad is not None:
+                self.update(i, bc1, bc2)
+
+    def bias_correction(self) -> tuple[float, float]:
+        """Count one step and give its (bc1, bc2), for ``update``."""
+        self.step_count += 1
+        return 1.0 - self.beta1**self.step_count, 1.0 - self.beta2**self.step_count
+
+    def update(self, i: int, bc1: float, bc2: float):
+        """Step parameter i; parameters share no state, so any order or thread will do."""
+        p, g = self.params[i], self.params[i].grad
+        if g.shape != p.data.shape:
+            raise DimensionError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
+        # in place, operation for operation the same arithmetic as
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+        # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+        m, v = self.m[i], self.v[i]
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        g2 = (1.0 - self.beta2) * g
+        g2 *= g
+        v *= self.beta2
+        v += g2
+        step = m / bc1
+        step *= self.learning_rate
+        denom = np.divide(v, bc2, out=g2)
+        np.sqrt(denom, out=denom)
+        denom += self.epsilon
+        step /= denom
+        np.subtract(p.data, step, out=p.data)   # the weights never move
 
 
 def clip_grad_norm(params: Sequence[Tensor], max_norm: float) -> float:

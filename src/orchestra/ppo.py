@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .blas import openblas_threads
 from .errors import ConfigError, ContractError, require_positive
-from .nn import Adam, Mlp, clip_grad_norm, sample_categorical_batch
+from .nn import Adam, Mlp, sample_categorical_batch
 from .envs import EnvInstance, LevelSpec, VecEnv
 
 ADV_EPS = 1e-8
@@ -218,9 +218,9 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
     Each minibatch runs as two halves that share no parameter: the policy
     half (logits_fn, surrogate, entropy) and the value half (the critic's
     forward, value loss), each with its own backward. The gradient a
-    parameter gets is the one the joint loss would give it, bit for bit. Where
-    ``_worker_fits()``, the value half and ``critic_opt``'s step run on a
-    worker thread that lives as long as this call.
+    parameter gets is the one the joint loss would give it, bit for bit. Clip
+    and steps run per parameter in two ``_lanes``. Where ``_worker_fits()``,
+    the value half and the second lane run on a worker thread for this call.
     """
     B = buffer.num_steps * buffer.num_envs
     obs_flat = buffer.obs.reshape(B, -1)
@@ -235,7 +235,6 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
             return actor.forward(Tensor(obs_flat[idx]))
     opts = [actor_opt, critic_opt, *extra_opts]
     params = [p for opt in opts for p in opt.params]
-    policy_opts = [actor_opt, *extra_opts]
 
     def policy_half(idx):
         """(policy loss, entropy, approximate KL, clip fraction)."""
@@ -272,13 +271,6 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
         ad.backward(cfg.vf_coef * v_loss)
         return float(v_loss.data)
 
-    def step(group):
-        # an optimizer whose parameters are off this minibatch's graph
-        # (a checkpoint with no routed term) keeps its state
-        for opt in group:
-            if any(p.grad is not None for p in opt.params):
-                opt.step()
-
     with _update_worker() as worker:
         pl_sum = vl_sum = ent_sum = kl_sum = cf_sum = gn_sum = 0.0
         n_mb = 0
@@ -295,8 +287,14 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
                 if not np.isfinite(pg - cfg.ent_coef * ent + cfg.vf_coef * vl):
                     raise RuntimeError(
                         f"ppo_update aborted: non-finite loss (pg={pg}, v={vl}, ent={ent})")
-                gn = clip_grad_norm(params, cfg.max_grad_norm)
-                _side_by_side(worker, partial(step, policy_opts), partial(step, [critic_opt]))
+                lanes = _lanes(opts)     # clip_grad_norm(params) and steps, by parameter
+                squares = _side_by_side(worker, *(partial(_squares, lane) for lane in lanes))
+                total = 0.0
+                for _, sq in sorted(squares[0] + squares[1]):   # in params order
+                    total += sq
+                gn = float(np.sqrt(total))
+                scale = cfg.max_grad_norm / gn if gn > cfg.max_grad_norm and gn > 0.0 else None
+                _side_by_side(worker, *(partial(_step_lane, lane, scale) for lane in lanes))
 
                 epoch_kls.append(kl)
                 pl_sum += pg
@@ -324,11 +322,11 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
 #
 # At one BLAS thread a matmul keeps one core busy, so on a host with two or
 # more usable CPUs the update runs each minibatch's value half on one worker
-# thread while the main thread runs the policy half. Each half does the
-# arithmetic it does inline, and each BLAS call still runs one thread, so the
-# outputs do not depend on whether the worker ran. A multi-threaded BLAS
-# already uses the other cores, and there the halves run inline. Each update
-# makes its worker and joins it before it returns, so no thread outlives it.
+# thread while the main thread runs the policy half, then splits the norm and
+# Adam steps by parameter. Each part does its inline arithmetic at one BLAS
+# thread, so the outputs do not depend on whether the worker ran. A
+# multi-threaded BLAS already uses the other cores, and there all runs inline.
+# Each update makes and joins its own worker, so no thread outlives it.
 
 
 def _worker_fits() -> bool:
@@ -357,6 +355,40 @@ def _side_by_side(worker, main_call, worker_call):
     finally:
         second = future.result()
     return first, second
+
+
+def _lanes(opts: Sequence[Adam]) -> tuple[list, list]:
+    """Count a step of each of ``opts`` with a gradient (the others, such as a
+    snapshot with no routed term, keep their state); deal its parameters with
+    one, as (position, parameter, Adam update), into two lanes that the actor's
+    and the critic's start, each other largest first to the lane with fewer elements."""
+    lanes, rest, k = ([], []), [], 0
+    for n, opt in enumerate(opts):
+        if any(p.grad is not None for p in opt.params):
+            bc = opt.bias_correction()
+            for i, p in enumerate(opt.params):
+                if p.grad is not None:
+                    (lanes[n] if n < 2 else rest).append((k + i, p, partial(opt.update, i, *bc)))
+        k += len(opt.params)
+    sizes = [sum(e[1].data.size for e in lane) for lane in lanes]
+    for e in sorted(rest, key=lambda e: -e[1].data.size):   # stable: ties keep their order
+        n = int(sizes[1] < sizes[0])
+        lanes[n].append(e)
+        sizes[n] += e[1].data.size
+    return lanes
+
+
+def _squares(lane) -> list[tuple[int, float]]:
+    """(position, its gradient's squared l2 norm) per parameter of a lane."""
+    return [(k, float((p.grad * p.grad).sum())) for k, p, _ in lane]
+
+
+def _step_lane(lane, scale: Optional[float]):
+    """Scale each gradient of a lane by ``scale``, unless it is None, and step it."""
+    for _, p, update in lane:
+        if scale is not None:
+            p.grad *= scale
+        update()
 
 
 @dataclass

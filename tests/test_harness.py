@@ -554,3 +554,38 @@ def test_cli_train_seed_override(tmp_path, capsys):
     cli_main(["train", "--config", str(cfg_path), "--seed", "11",
               "--out", str(tmp_path / "run")])
     assert json.loads(capsys.readouterr().out)["seed"] == 11
+
+
+def _cli_refuses(argv, capsys, reason: str):
+    """``orchestra argv`` exits with status 2 and one line on stderr that
+    gives ``reason``, and no traceback."""
+    with pytest.raises(SystemExit) as exited:
+        cli_main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("orchestra: error: ") and reason in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_refuses_a_second_train_into_a_used_directory(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config_to_flat_dict(tiny_run_config())))
+    argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    cli_main(argv)
+    capsys.readouterr()
+    _cli_refuses(argv, capsys, "already holds a run")
+
+
+def test_cli_refuses_a_bad_flat_config(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"algorithm": "ppo", "num_stepz": 8}))
+    _cli_refuses(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+                 capsys, "unknown config keys: ['num_stepz']")
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_refuses_to_resume_under_a_changed_blas(tmp_path, capsys):
+    Trainer(tiny_run_config(), tmp_path).run(max_iterations=1)
+    recorded = json.loads((tmp_path / "run_env.json").read_text())
+    (tmp_path / "run_env.json").write_text(json.dumps({**recorded, "blas": "otherblas 9.9"}))
+    _cli_refuses(["resume", "--out", str(tmp_path)], capsys, "run environment changed")

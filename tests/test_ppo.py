@@ -310,6 +310,32 @@ def test_nan_loss_aborts_with_diagnostic(monkeypatch):
         assert _opt_bits(opts) == before
 
 
+def test_nan_loss_with_routed_snapshots_moves_no_optimizer(monkeypatch):
+    # the twin of the test above through HOP's routed update: no optimizer,
+    # a snapshot's included, moves when the loss is not finite
+    from test_hop import _hop_rollout, _hop_setup
+    for worker, term in itertools.product((True, False), ("advantages", "returns")):
+        monkeypatch.setattr(ppo, "_worker_fits", lambda: worker)
+        learner, critic, orch, hop_cfg, ppo_cfg = _hop_setup(3)
+        assert hop_cfg.checkpoint_gradients
+        buffer = _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg)
+        gae = compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda)
+        opts = [Adam(learner.parameters, 1e-3), Adam(critic.parameters, 1e-3),
+                *(c.opt for c in orch.checkpoints)]
+
+        def update():
+            masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
+                                 opts[0], opts[1], np.random.default_rng(9))
+
+        update()
+        assert all(opt.step_count > 0 for opt in opts)
+        before = _opt_bits(opts)
+        getattr(gae, term)[:] = np.nan
+        with pytest.raises(RuntimeError, match="non-finite loss"):
+            update()
+        assert _opt_bits(opts) == before
+
+
 def test_target_kl_stops_at_epoch_boundary():
     # epoch-1 minibatch KL is exactly 0 (ratio 1), which already exceeds a
     # negative threshold, so the loop stops after exactly one full epoch
@@ -337,17 +363,40 @@ def _ppo_case():
 
 def _hop_case():
     from test_hop import _hop_rollout, _hop_setup
-    learner, critic, orch, hop_cfg, ppo_cfg = _hop_setup(2)
+    # at ω = 0.98 a snapshot activates only on a state it stored, so on some
+    # of these minibatches no gradient is routed into some of the snapshots
+    learner, critic, orch, hop_cfg, ppo_cfg = _hop_setup(3, seed=52, omega=0.98)
+    ppo_cfg.num_minibatches = 4
     assert hop_cfg.checkpoint_gradients
     buffer = _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg)
     gae = compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda, norm_adv=True)
     opts = [Adam(learner.parameters, 1e-3), Adam(critic.parameters, 1e-3),
             *(c.opt for c in orch.checkpoints)]
+    snapshots = opts[2:]
 
     def run():
-        stats = masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
-                                     opts[0], opts[1], np.random.default_rng(9))
-        # routed gradients reached both snapshots
+        # before each minibatch's clip and steps: which snapshots have no
+        # gradient, and every snapshot optimizer's state
+        lanes, seen = ppo._lanes, []
+
+        def recorded(opts):
+            idle = [n for n, opt in enumerate(snapshots)
+                    if all(p.grad is None for p in opt.params)]
+            seen.append((idle, _opt_bits(snapshots)))
+            return lanes(opts)
+
+        ppo._lanes = recorded
+        try:
+            stats = masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
+                                         opts[0], opts[1], np.random.default_rng(9))
+        finally:
+            ppo._lanes = lanes
+        seen.append(([], _opt_bits(snapshots)))
+        assert any(idle for idle, _ in seen)
+        for (idle, before), (_, after) in zip(seen, seen[1:]):
+            # step count, parameters and moments of an idle snapshot stay
+            assert all(after[n] == before[n] for n in idle)
+        # every snapshot was routed into on some minibatch
         assert all(c.opt.step_count > 0 for c in orch.checkpoints)
         return stats
     return run, opts
@@ -391,6 +440,82 @@ def test_the_worker_thread_leaves_the_inline_bits(case, monkeypatch, one_blas_th
         assert len(threads) == (2 if worker else 1)
         results.append((np.array(astuple(stats), dtype=float).tobytes(), _opt_bits(opts)))
     assert results[0] == results[1]
+
+
+def _with_gradients(*nets) -> list[Adam]:
+    opts = []
+    for net in nets:
+        for p in net.parameters:
+            p.grad = np.ones_like(p.data)
+        opts.append(Adam(net.parameters))
+    return opts
+
+
+def _lane_params(lane) -> list[int]:
+    return [id(p) for _, p, _ in lane]
+
+
+def test_two_optimizers_make_the_actor_and_the_critic_lanes():
+    actor, critic = make_nets()
+    lanes = ppo._lanes(_with_gradients(actor, critic))
+    assert _lane_params(lanes[0]) == [id(p) for p in actor.parameters]
+    assert _lane_params(lanes[1]) == [id(p) for p in critic.parameters]
+
+
+def test_routed_snapshots_balance_the_lanes():
+    rng = np.random.default_rng(0)
+    sizes = [OBS_DIM, 256, 256, N_ACTIONS]
+    nets = [Mlp(sizes, rng), Mlp(sizes[:-1] + [1], rng), *(Mlp(sizes, rng) for _ in range(4))]
+    opts = _with_gradients(*nets)
+    ad.zero_grads(nets[-1].parameters)       # a snapshot with no routed term
+    lanes = ppo._lanes(opts)
+    params = [p for opt in opts for p in opt.params]
+    # each parameter with a gradient is in one lane, at its place in params
+    entries = sorted(lanes[0] + lanes[1], key=lambda e: e[0])
+    assert [(k, id(p)) for k, p, _ in entries] == [(k, id(p)) for k, p in enumerate(params)
+                                                     if p.grad is not None]
+    assert _lane_params(lanes[0])[:6] == [id(p) for p in nets[0].parameters]
+    assert _lane_params(lanes[1])[:6] == [id(p) for p in nets[1].parameters]
+    elements = [sum(p.data.size for _, p, _ in lane) for lane in lanes]
+    assert abs(elements[0] - elements[1]) <= max(p.data.size for p in params)
+    # both lanes take snapshot parameters; the idle snapshot counts no step
+    assert min(len(lane) for lane in lanes) > 6
+    assert [opt.step_count for opt in opts] == [1, 1, 1, 1, 1, 0]
+
+
+def test_the_lanes_give_clip_grad_norms_bits(monkeypatch, one_blas_thread):
+    # routed snapshots spread the parameters over both lanes; the norm and
+    # the clipped gradients are those of clip_grad_norm over params
+    from test_hop import _hop_rollout, _hop_setup
+    monkeypatch.setattr(ppo, "_worker_fits", lambda: True)
+    learner, critic, orch, hop_cfg, ppo_cfg = _hop_setup(3)
+    ppo_cfg.max_grad_norm, ppo_cfg.target_kl = 1e-3, np.inf
+    buffer = _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg)
+    gae = compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda, norm_adv=True)
+    opts = [Adam(learner.parameters, 1e-3), Adam(critic.parameters, 1e-3),
+            *(c.opt for c in orch.checkpoints)]
+    params = [p for opt in opts for p in opt.params]
+    twins = [Tensor(p.data) for p in params]
+    lanes = ppo._lanes
+    oracle = []
+
+    def recorded(opts):
+        for twin, p in zip(twins, params):
+            twin.grad = p.grad.copy()
+        oracle.append(clip_grad_norm(twins, ppo_cfg.max_grad_norm))
+        return lanes(opts)
+
+    monkeypatch.setattr(ppo, "_lanes", recorded)
+    stats = masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
+                                 opts[0], opts[1], np.random.default_rng(9))
+    # the norm of each of the four minibatches, averaged as the update averages
+    assert len(oracle) == 4 and min(oracle) > ppo_cfg.max_grad_norm
+    total = 0.0
+    for norm in oracle:
+        total += norm
+    assert stats.grad_norm == total / len(oracle)
+    for p, twin in zip(params, twins, strict=True):
+        assert p.grad.tobytes() == twin.grad.tobytes()
 
 
 def test_split_backward_equals_the_joint_loss_backward(monkeypatch, one_blas_thread):
