@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import pickle
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Sequence
@@ -35,7 +35,6 @@ ALGORITHMS = ("ppo", "hop", "pnn")
 # desk-scale defaults; every interval is a multiple of the rollout batch
 DESK_TOTAL_TIMESTEPS = 294_912          # 3 phases x 24 rollouts x 4096
 DESK_REPORT_EPOCH = 8_192
-DESK_CHECKPOINT_INTERVAL = 24_576
 DESK_NUM_LEVELS = 5
 
 
@@ -73,8 +72,7 @@ class PhasePlan:
 class RunConfig:
     algorithm: str = "ppo"
     ppo: PpoConfig = field(default_factory=PpoConfig)
-    hop: HopConfig = field(default_factory=lambda: HopConfig(
-        checkpoint_interval=DESK_CHECKPOINT_INTERVAL))
+    hop: HopConfig = field(default_factory=HopConfig)
     families: tuple[str, str, str] = ("runner", "climber", "runner")
     proc_start: int = 1
     proc_num_levels: int = DESK_NUM_LEVELS
@@ -521,7 +519,7 @@ def config_from_flat_dict(raw: dict) -> RunConfig:
     # numpy scalars become Python ones, so config.json can hold them
     raw = {k: v.item() if isinstance(v, np.generic) else v for k, v in raw.items()}
     ppo = PpoConfig(**{k: raw[k] for k in _PPO_KEYS if k in raw})
-    hop = replace(RunConfig().hop, **{k: raw[k] for k in _HOP_KEYS if k in raw})
+    hop = HopConfig(**{k: raw[k] for k in _HOP_KEYS if k in raw})
     if "batch_size" in raw and raw["batch_size"] != ppo.batch_size:
         raise ConfigError(
             f"batch_size={raw['batch_size']} inconsistent with "

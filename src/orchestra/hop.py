@@ -20,6 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, require_positive
 from .nn import Adam, Mlp
@@ -32,7 +33,7 @@ from .ppo import (ActionSource, GaeOutput, PpoConfig, RolloutBuffer, UpdateStats
 class HopConfig:
     min_similarity_score: float = 0.98   # activation threshold on cosine similarity
     reward_limit: float = 7.5            # episodic-return gate for trusted states
-    checkpoint_interval: int = 500_000   # steps between checkpoint attempts
+    checkpoint_interval: int = 24_576    # steps between checkpoint attempts (desk scale)
     trusted_cap: int = 4096              # per-checkpoint state budget (reservoir)
     checkpoint_gradients: bool = True    # route masked gradients into checkpoints
     eval_episodes: int = 10              # episodes run per checkpoint attempt
@@ -422,6 +423,22 @@ def checkpoint_now(learner: Mlp, orchestra: Orchestra,
     return ckpt
 
 
+def joined_logits(logits: Tensor, routed: Sequence[tuple[np.ndarray, Tensor]],
+                  const: np.ndarray) -> Tensor:
+    """``logits + spread @ out``, for each routed ``(spread, out)`` in turn,
+    plus ``const``, as one tape node: ``spread.T @ g`` goes to each ``out``."""
+    data = logits.data
+    for spread, out in routed:
+        data = data + spread @ out.data
+
+    def backward(g):
+        logits._accumulate(g)
+        for spread, out in routed:
+            out._accumulate(spread.T @ g)
+
+    return ad.node(data + const, (logits, *(out for _, out in routed)), backward)
+
+
 def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
                          critic: Mlp, orchestra: Orchestra, ppo_cfg: PpoConfig,
                          hop_cfg: HopConfig, actor_opt: Adam, critic_opt: Adam,
@@ -451,7 +468,8 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
         gradient into the checkpoint, a constant elsewhere."""
         terms = index.terms(best[idx], bitmask[idx])
         routed = bitmask[idx][terms.row, terms.k - 1].astype(np.int64)
-        const = np.zeros(logits.shape)
+        const = np.zeros(logits.data.shape)
+        outs = []
         for k in np.unique(terms.k).tolist():
             sel = terms.k == k
             states, at = np.unique(terms.g[sel], return_inverse=True)
@@ -461,19 +479,19 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
             np.add.at(spread, (routed[sel], terms.row[sel], at), terms.coeff[sel])
             if routed[sel].any():
                 out = ckpt.actor.forward(Tensor(x))
-                logits = logits + Tensor(spread[1]) @ out
+                outs.append((spread[1], out))
                 out = out.data
             else:
                 out = ckpt.actor.forward_np(x)
             const += spread[0] @ out
-        return logits + Tensor(const)
+        return joined_logits(logits, outs, const)
 
     def logits_fn(idx: np.ndarray):
         logits = learner.forward(Tensor(obs_flat[idx]))
         if learner_mode or M == 0:
             return logits
         if not route_grads:
-            return logits + Tensor(records["orchestra"][idx])
+            return joined_logits(logits, [], records["orchestra"][idx])
         return routed_logits(logits, idx)
 
     extra_opts = [c.opt for c in orchestra.checkpoints] if route_grads else []

@@ -108,9 +108,17 @@ class Mlp:
 
     def head(self, h):
         """The output layer; on the tape for a Tensor, else numpy that refuses non-finite output."""
+        w, b = self.weights[-1], self.biases[-1]
         if isinstance(h, Tensor):
-            return h @ self.weights[-1] + self.biases[-1]
-        out = h @ self.weights[-1].data + self.biases[-1].data
+            def backward(g):
+                # the order and arithmetic of a matmul and a broadcast add
+                b._accumulate(g.sum(axis=0))
+                if h.requires_grad:
+                    h._accumulate(g @ w.data.T)
+                w._accumulate(h.data.T @ g)
+
+            return ad.node(h.data @ w.data + b.data, (h, w, b), backward)
+        out = h @ w.data + b.data
         if not np.isfinite(out).all():
             raise ContractError("an Mlp produced non-finite output")
         return out

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
 from .nn import Adam, Mlp
@@ -106,23 +107,33 @@ class ColumnNet:
         self.feeds = [(getattr(stack.columns[src], net), stack.adapters[(net, src, col_idx)])
                       for src in range(col_idx)]
 
-    def _sources(self, x: np.ndarray):
-        for src, adp in self.feeds:
-            yield np.maximum(src.hidden_np(x), 0.0), adp
+    def _adapted(self, h: np.ndarray, x: np.ndarray):
+        """(h plus each earlier column's features through its adapter, and
+        those (features, adapter) pairs)."""
+        feeds = [(np.maximum(src.hidden_np(x), 0.0), adp) for src, adp in self.feeds]
+        for feats, adp in feeds:
+            h = h + (feats @ adp.weight.data + adp.bias.data)
+        return h, feeds
 
     def forward(self, x) -> Tensor:
-        """On the tape; ``x`` is an ndarray or a Tensor off the tape."""
+        """On the tape; ``x`` is an ndarray or a Tensor off the tape. The
+        adapter sum is one node."""
         h = self.mlp.hidden(x)
-        x = x.data if isinstance(x, Tensor) else x
-        for feats, adp in self._sources(x):
-            h = h + (Tensor(feats) @ adp.weight + adp.bias)
-        return self.mlp.head(h)
+        if not self.feeds:
+            return self.mlp.head(h)
+        data, feeds = self._adapted(h.data, x.data if isinstance(x, Tensor) else x)
+
+        def backward(g):
+            h._accumulate(g)
+            for feats, adp in feeds:
+                adp.bias._accumulate(g.sum(axis=0))
+                adp.weight._accumulate(feats.T @ g)
+
+        params = [p for _, adp in feeds for p in adp.parameters]
+        return self.mlp.head(ad.node(data, (h, *params), backward))
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
-        h = self.mlp.hidden_np(x)
-        for feats, adp in self._sources(x):
-            h = h + (feats @ adp.weight.data + adp.bias.data)
-        return self.mlp.head(h)
+        return self.mlp.head(self._adapted(self.mlp.hidden_np(x), x)[0])
 
 
 class ColumnSource(LearnerSource):

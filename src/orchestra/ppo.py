@@ -238,38 +238,17 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
 
     def policy_half(idx):
         """(policy loss, entropy, approximate KL, clip fraction)."""
-        logits = logits_fn(idx)
-        logp_all = ad.log_softmax(logits)
-        newlogp = ad.pick(logp_all, act_flat[idx])
-        logratio = newlogp - Tensor(oldlogp_flat[idx])
-        ratio = logratio.exp()
-        mb_adv = Tensor(adv_flat[idx])
-        surr1 = ratio * mb_adv
-        surr2 = ad.clip(ratio, 1.0 - cfg.clip_coef, 1.0 + cfg.clip_coef) * mb_adv
-        pg_loss = -ad.minimum(surr1, surr2).mean()
-        probs = logp_all.exp()
-        entropy = -(probs * logp_all).sum(axis=-1).mean()
-        ad.backward(pg_loss - cfg.ent_coef * entropy)
-        with np.errstate(all="ignore"):
-            kl = float((oldlogp_flat[idx] - newlogp.data).mean())
-            cf = float((np.abs(ratio.data - 1.0) > cfg.clip_coef).mean())
-        return float(pg_loss.data), float(entropy.data), kl, cf
+        loss, stats = policy_loss(logits_fn(idx), act_flat[idx], oldlogp_flat[idx],
+                                  adv_flat[idx], cfg)
+        ad.backward(loss)
+        return stats
 
     def value_half(idx):
         """The value loss."""
-        v = critic.forward(Tensor(obs_flat[idx])).reshape(-1)
-        if cfg.clip_vloss:
-            v_old = Tensor(val_flat[idx])
-            v_clipped = v_old + ad.clip(v - v_old, -cfg.clip_coef, cfg.clip_coef)
-            # the larger of the two squared errors, as -min(-a, -b)
-            v_loss = -0.5 * ad.minimum(
-                -(v - Tensor(ret_flat[idx])).square(),
-                -(v_clipped - Tensor(ret_flat[idx])).square(),
-            ).mean()
-        else:
-            v_loss = 0.5 * (v - Tensor(ret_flat[idx])).square().mean()
-        ad.backward(cfg.vf_coef * v_loss)
-        return float(v_loss.data)
+        loss, v_loss = value_loss(critic.forward(Tensor(obs_flat[idx])), ret_flat[idx],
+                                  val_flat[idx], cfg)
+        ad.backward(loss)
+        return v_loss
 
     with _update_worker() as worker:
         pl_sum = vl_sum = ent_sum = kl_sum = cf_sum = gn_sum = 0.0
@@ -316,6 +295,85 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
         grad_norm=gn_sum / n_mb,
         epochs_run=epochs_run,
     )
+
+
+def policy_loss(logits: Tensor, actions: np.ndarray, oldlogp: np.ndarray,
+                adv: np.ndarray, cfg: PpoConfig):
+    """The clipped surrogate loss minus ``ent_coef`` times the mean entropy,
+    as one tape node over the (B, A) logits, and (policy loss, entropy,
+    approximate KL, clip fraction). The backward does a per-op tape's
+    arithmetic (log-softmax, pick, ratio, clip, min, entropy) in its order
+    of accumulation, so the gradient keeps that tape's bits. A tie of the
+    two surrogate terms sends the gradient to the unclipped one."""
+    z = logits.data
+    if np.isnan(z).any():
+        raise ContractError("log_softmax: NaN in logits")
+    n = len(actions)
+    shift = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shift)
+    s = e.sum(axis=-1, keepdims=True)
+    logp_all = shift - np.log(s)
+    rows = np.arange(n)
+    newlogp = logp_all[rows, actions]
+    ratio = np.exp(newlogp - oldlogp)
+    lo, hi = 1.0 - cfg.clip_coef, 1.0 + cfg.clip_coef
+    surr1, surr2 = ratio * adv, np.clip(ratio, lo, hi) * adv
+    first = surr1 <= surr2
+    pg_loss = np.where(first, surr1, surr2).sum() * (1.0 / n) * -1.0
+    probs = np.exp(logp_all)
+    entropy = (probs * logp_all).sum(axis=-1).sum() * (1.0 / n) * -1.0
+
+    def backward(g):
+        g_min = g * -1.0 * (1.0 / n)                 # d/d min(surr1, surr2), per row
+        g_ratio = g_min * first * adv
+        g_ratio += g_min * ~first * adv * ((ratio > lo) & (ratio < hi))
+        g_logp = np.zeros_like(logp_all)
+        g_logp[rows, actions] += g_ratio * ratio
+        g_plogp = -g * cfg.ent_coef * -1.0 * (1.0 / n)   # d/d (probs * logp_all)
+        g_logp += g_plogp * probs
+        g_logp += g_plogp * logp_all * probs
+        g_s = (-g_logp).sum(axis=-1, keepdims=True) / s
+        g_logp += g_s * e
+        logits._accumulate(g_logp)
+
+    with np.errstate(all="ignore"):
+        kl = float((oldlogp - newlogp).mean())
+        cf = float((np.abs(ratio - 1.0) > cfg.clip_coef).mean())
+    loss = ad.node(pg_loss - cfg.ent_coef * entropy, (logits,), backward)
+    return loss, (float(pg_loss), float(entropy), kl, cf)
+
+
+def value_loss(values: Tensor, returns: np.ndarray, old_values: np.ndarray,
+               cfg: PpoConfig):
+    """``vf_coef`` times the value loss, as one tape node over the (B, 1)
+    values, and the value loss: half the mean squared error against
+    ``returns``. With ``clip_vloss``, each row takes the larger of that error
+    and the one of ``old_values`` plus the change clipped to ±``clip_coef``
+    (a tie takes the first). The backward is built as ``policy_loss``'s."""
+    v = values.data.reshape(-1)
+    n = len(v)
+    d = v - returns
+    if cfg.clip_vloss:
+        cc = cfg.clip_coef
+        dv = v - old_values
+        d_clipped = old_values + np.clip(dv, -cc, cc) - returns
+        neg, neg_clipped = d * d * -1.0, d_clipped * d_clipped * -1.0
+        first = neg <= neg_clipped
+        loss = -0.5 * (np.where(first, neg, neg_clipped).sum() * (1.0 / n))
+    else:
+        loss = 0.5 * ((d * d).sum() * (1.0 / n))
+
+    def backward(g):
+        if cfg.clip_vloss:
+            g_max = g * cfg.vf_coef * -0.5 * (1.0 / n)
+            g_v = g_max * first * -1.0 * 2.0 * d
+            g_d = g_max * ~first * -1.0 * 2.0 * d_clipped
+            g_v += g_d * ((dv > -cc) & (dv < cc))
+        else:
+            g_v = g * cfg.vf_coef * 0.5 * (1.0 / n) * 2.0 * d
+        values._accumulate(g_v.reshape(values.data.shape))
+
+    return ad.node(cfg.vf_coef * loss, (values,), backward), float(loss)
 
 
 # --- the update's second thread -------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from orchestra.autodiff import ALIGN
 from orchestra.blas import openblas_function, openblas_threads
-from orchestra.nn import Adam, Mlp
+from orchestra.nn import Adam
 
 
 @pytest.fixture
@@ -27,10 +27,10 @@ def one_blas_thread():
     setter(threads)
 
 
-def fd_gradient(loss_fn, net: Mlp, h: float = 1e-5):
-    """Central finite differences of loss_fn() w.r.t. every net parameter."""
+def fd_gradient(loss_fn, params, h: float = 1e-5):
+    """Central finite differences of loss_fn() w.r.t. each of params (Tensors)."""
     grads = []
-    for p in net.parameters:
+    for p in params:
         base = p.data.copy()
         g = np.zeros_like(base)
         for idx in np.ndindex(base.shape):

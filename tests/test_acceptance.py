@@ -15,16 +15,15 @@ import numpy as np
 import pytest
 
 from orchestra import autodiff as ad
-from orchestra.autodiff import Tensor
 from orchestra.envs import LevelSpec, N_ACTIONS, OBS_DIM, EnvInstance
 from orchestra.harness import (RunConfig, Trainer, config_from_flat_dict,
                                final_rewards, run_three_phase, steps_to_return)
 from orchestra.hop import (CheckpointPolicy, HopConfig, JoinedSource,
                            Orchestra, TrustedStateSet, hierarchical_weights,
-                           joined_records, masked_policy_update)
+                           joined_logits, joined_records, masked_policy_update)
 from orchestra.nn import Adam, Mlp
 from orchestra.ppo import (EVAL_STEP_PENALTY, GaeOutput, PpoConfig,
-                           RolloutBuffer, evaluate_policy)
+                           RolloutBuffer, evaluate_policy, policy_loss, value_loss)
 from orchestra.pnn import PnnStack
 
 SEEDS = (1, 2, 3, 4)
@@ -69,6 +68,8 @@ def test_gradient_correctness_vs_finite_differences():
     n_inst = 100
     worst = {"actor": 0.0, "critic": 0.0, "adapter": 0.0, "joined": 0.0}
 
+    cfg = PpoConfig()
+
     for _ in range(n_inst):
         obs = rng.random((3, 6))
         acts = rng.integers(0, 4, size=3)
@@ -76,60 +77,46 @@ def test_gradient_correctness_vs_finite_differences():
         old = rng.standard_normal(3) * 0.1
         ret = rng.standard_normal(3)
 
+        def surrogate(logits):
+            return policy_loss(logits, acts, old, adv, cfg)[0]
+
         # actor: clipped-surrogate + entropy loss
         actor = Mlp([6, 5, 4], rng)
-
-        def actor_loss():
-            logits = actor.forward(Tensor(obs))
-            logp_all = ad.log_softmax(logits)
-            ratio = (ad.pick(logp_all, acts) - Tensor(old)).exp()
-            surr = ad.minimum(ratio * Tensor(adv),
-                              ad.clip(ratio, 0.8, 1.2) * Tensor(adv))
-            ent = -(logp_all.exp() * logp_all).sum(axis=-1).mean()
-            return -surr.mean() - 0.01 * ent
-
-        worst["actor"] = max(worst["actor"], _fd_check(actor_loss, actor.parameters))
+        worst["actor"] = max(worst["actor"], _fd_check(lambda: surrogate(actor.forward(obs)),
+                                                       actor.parameters))
 
         # critic: value regression loss
         critic = Mlp([6, 5, 1], rng)
+        worst["critic"] = max(worst["critic"], _fd_check(
+            lambda: value_loss(critic.forward(obs), ret, None, cfg)[0], critic.parameters))
 
-        def critic_loss():
-            v = critic.forward(Tensor(obs)).reshape(-1)
-            return 0.5 * (v - Tensor(ret)).square().mean()
-
-        worst["critic"] = max(worst["critic"], _fd_check(critic_loss, critic.parameters))
-
-        # adapters: progressive-column forward through zero-init-then-perturbed links
+        # adapters: column c reads columns a and b through zero-init-then-perturbed links
         stack = PnnStack(6, 4, 5, 1e-3, rng)
-        stack.add_column("a")
-        stack.add_column("b")
+        for task in "abc":
+            stack.add_column(task)
         for adp in stack.adapters.values():
             adp.weight.data = rng.standard_normal(adp.weight.data.shape) * 0.2
             adp.bias.data = rng.standard_normal(adp.bias.data.shape) * 0.2
-        adapter_params = (stack.adapters[("actor", 0, 1)].parameters
-                          + stack.columns[1].actor.parameters)
+        adapter_params = (stack.adapters[("actor", 0, 2)].parameters
+                          + stack.adapters[("actor", 1, 2)].parameters
+                          + stack.columns[2].actor.parameters)
+        worst["adapter"] = max(worst["adapter"], _fd_check(
+            lambda: surrogate(stack.net("c", "actor").forward(obs)), adapter_params))
 
-        def adapter_loss():
-            logits = stack.net("b", "actor").forward(obs)
-            logp = ad.pick(ad.log_softmax(logits), acts)
-            return -(logp * Tensor(adv)).mean()
-
-        worst["adapter"] = max(worst["adapter"], _fd_check(adapter_loss, adapter_params))
-
-        # joined path: learner + per-row checkpoint contribution via index_add
+        # joined path: the learner plus a checkpoint's outputs at two states,
+        # routed into rows 0 and 2 and folded in as a constant in row 1
         learner = Mlp([6, 5, 4], rng)
         ckpt_actor = Mlp([6, 5, 4], rng)
         sstars = rng.random((2, 6))
-        rows = np.array([0, 2])
-        coeffs = rng.random((2, 1)) + 0.25
+        spread = np.zeros((2, 3, 2))        # constant, routed coefficients
+        spread[1, [0, 2], [0, 1]] = rng.random(2) + 0.25
+        spread[0, 1, 0] = rng.random() + 0.25
+        const = spread[0] @ ckpt_actor.forward_np(sstars)
         joined_params = learner.parameters + ckpt_actor.parameters
 
         def joined_loss():
-            logits = learner.forward(Tensor(obs))
-            contrib = ckpt_actor.forward(Tensor(sstars)) * Tensor(coeffs)
-            logits = ad.index_add(logits, rows, contrib)
-            logp = ad.pick(ad.log_softmax(logits), acts)
-            return -(logp * Tensor(adv)).mean()
+            routed = [(spread[1], ckpt_actor.forward(sstars))]
+            return surrogate(joined_logits(learner.forward(obs), routed, const))
 
         worst["joined"] = max(worst["joined"], _fd_check(joined_loss, joined_params))
 

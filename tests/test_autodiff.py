@@ -6,100 +6,123 @@ from hypothesis import strategies as st
 from orchestra import autodiff as ad
 from orchestra.autodiff import Tensor
 from orchestra.errors import ContractError
+from orchestra.hop import joined_logits
 from orchestra.nn import Mlp
+from orchestra.ppo import PpoConfig, policy_loss, value_loss
 
 from conftest import fd_gradient, max_rel_error
 
 
 def test_backward_sum_gives_ones():
+    # backward seeds the loss with ones; a node that hands its gradient on
+    # broadcast, as a sum does, leaves ones in its leaf
     p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    ad.backward(p.sum())
+    ad.backward(ad.node(p.data.sum(), (p,),
+                        lambda g: p._accumulate(np.broadcast_to(g, p.data.shape))))
     assert np.array_equal(p.grad, np.ones((2, 3)))
 
 
-def test_backward_requires_scalar_loss():
-    p = Tensor(np.ones((2, 2)), requires_grad=True)
+def test_backward_requires_scalar_loss(rng):
+    net = Mlp([3, 4, 2], rng)
     with pytest.raises(ContractError):
-        ad.backward(p + p)
+        ad.backward(net.forward(rng.normal(size=(2, 3))))
 
 
-def test_unused_parameter_gets_no_gradient():
-    used = Tensor(np.ones(3), requires_grad=True)
-    unused = Tensor(np.ones(3), requires_grad=True)
-    ad.backward((used * 2.0).sum())
-    assert unused.grad is None
-    assert np.array_equal(used.grad, np.full(3, 2.0))
+def test_unused_parameter_gets_no_gradient(rng):
+    used, unused = Mlp([3, 4, 1], rng), Mlp([3, 4, 1], rng)
+    x = rng.normal(size=(5, 3))
+    ad.backward(value_loss(used.forward(x), rng.normal(size=5), None, PpoConfig())[0])
+    assert all(p.grad is None for p in unused.parameters)
+    assert all(np.abs(p.grad).max() > 0.0 for p in used.parameters)
 
 
 def test_linear_regression_gradients_match_finite_differences(rng):
-    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    # the output layer's node under the value loss is a least-squares fit
+    net = Mlp([2, 4, 1], rng)
     x = rng.normal(size=(5, 4))
-    y = rng.normal(size=(5, 3))
+    y = rng.normal(size=5)
 
-    def loss_np():
-        return (((x @ w.data) - y) ** 2).mean()
+    def loss():
+        return value_loss(net.head(Tensor(x)), y, None, PpoConfig(vf_coef=1.0))[0]
 
-    loss = (Tensor(x) @ w - Tensor(y)).square().mean()
-    ad.backward(loss)
-    g = np.zeros_like(w.data)
-    h = 1e-5
-    base = w.data.copy()
-    for idx in np.ndindex(base.shape):
-        w.data = base.copy(); w.data[idx] += h; lp = loss_np()
-        w.data = base.copy(); w.data[idx] -= h; lm = loss_np()
-        g[idx] = (lp - lm) / (2 * h)
-    w.data = base
-    assert np.abs(g - w.grad).max() / np.abs(g).max() < 1e-4
+    ad.backward(loss())
+    head = [net.weights[-1], net.biases[-1]]
+    for p, g in zip(head, fd_gradient(lambda: float(loss().data), head)):
+        assert np.abs(g - p.grad).max() / np.abs(g).max() < 1e-4
+
+
+def _ratio_shifts(rng, n):
+    """Log-ratios at ±0.1 or ±0.4, give or take 0.02: inside or outside a
+    clip range of 0.2, never near its bounds or at 0."""
+    return rng.choice([-1.0, 1.0], n) * (rng.choice([0.1, 0.4], n) + rng.uniform(-0.02, 0.02, n))
+
+
+# (clip_coef, ent_coef, clip_vloss, tie) per trial. At a tie the stored
+# log-prob and value are the current ones: each ratio is 1, where both
+# surrogate terms are equal and the gradient goes to the unclipped one, and
+# the clipped value is the value.
+BRANCHES = [(0.2, 0.01, False, False), (0.0, 0.01, False, False), (0.0, 0.01, False, True),
+            (0.2, 0.0, False, False), (0.2, 0.01, True, False), (0.2, 0.01, True, True),
+            (0.0, 0.0, True, False), (np.inf, 0.01, False, False), (0.2, 0.0, False, True),
+            (0.1, 0.3, True, False)]
 
 
 @pytest.mark.parametrize("trial", range(10))
 def test_mlp_loss_gradients_match_finite_differences(trial):
+    clip_coef, ent_coef, clip_vloss, tie = BRANCHES[trial]
     rng = np.random.default_rng(100 + trial)
-    net = Mlp([6, 5, 4], rng)
-    x = rng.normal(size=(3, 6))
-    y = rng.normal(size=(3, 4))
+    actor, critic = Mlp([6, 5, 4], rng), Mlp([6, 5, 1], rng)
+    x = rng.normal(size=(8, 6))
+    acts = rng.integers(0, 4, size=8)
+    adv = rng.normal(size=8)
+    logp = ad.log_softmax_np(actor.forward_np(x))[np.arange(8), acts]
+    v = critic.forward_np(x)[:, 0]
+    old_logp, old_v = (logp, v) if tie else (logp - _ratio_shifts(rng, 8), v - _ratio_shifts(rng, 8))
+    ret = v + rng.normal(size=8)
+    cfg = PpoConfig(clip_coef=clip_coef, ent_coef=ent_coef, clip_vloss=clip_vloss)
 
-    def run():
-        return float(((net.forward_np(x) - y) ** 2).mean())
+    def policy(c=cfg):
+        return policy_loss(actor.forward(x), acts, old_logp, adv, c)[0]
 
-    loss = (net.forward(Tensor(x)) - Tensor(y)).square().mean()
-    ad.backward(loss)
-    numeric = fd_gradient(run, net)
-    analytic = [p.grad for p in net.parameters]
-    assert max_rel_error(analytic, numeric) < 1e-4
+    def value():
+        return value_loss(critic.forward(x), ret, old_v, cfg)[0]
+
+    ad.backward(policy())
+    ad.backward(value())
+    # at a tie with clip_coef 0 the surrogate has a kink; its gradient is the
+    # unclipped term's, which is the gradient without clipping
+    smooth = PpoConfig(clip_coef=np.inf, ent_coef=ent_coef) if tie else cfg
+    for net, loss in ((actor, lambda: policy(smooth)), (critic, value)):
+        numeric = fd_gradient(lambda: float(loss().data), net.parameters)
+        assert max_rel_error([p.grad for p in net.parameters], numeric) < 1e-4
 
 
 def test_minimum_clip_pick_and_index_add_gradients(rng):
-    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    idx = np.array([0, 2, 1, 0])
-    rows = np.array([1, 1, 3])
-    contrib = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    # min, clip, pick and the row scatter-add, through the policy loss over
+    # routed logits: rows 1 (twice) and 3 take a snapshot's outputs
+    logits = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    out = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    spread = np.zeros((4, 3))
+    spread[[1, 1, 3], [0, 1, 2]] = rng.random(3) + 0.25
+    const = rng.normal(size=(4, 3))
+    acts = np.array([0, 2, 1, 0])
+    adv = rng.normal(size=4)
+    joined = logits.data + spread @ out.data + const
+    old = ad.log_softmax_np(joined)[np.arange(4), acts] - _ratio_shifts(rng, 4)
+    cfg = PpoConfig(clip_coef=0.2)
 
     def compute():
-        m = ad.minimum(a, b)
-        c = ad.clip(m, -0.5, 0.5)
-        s = ad.index_add(c, rows, contrib)
-        return ad.pick(s, idx).sum()
+        return policy_loss(joined_logits(logits, [(spread, out)], const), acts, old, adv, cfg)[0]
 
-    loss = compute()
-    ad.backward(loss)
-    for leaf in (a, b, contrib):
-        base = leaf.data.copy()
-        g = np.zeros_like(base)
-        h = 1e-6
-        for ix in np.ndindex(base.shape):
-            leaf.data = base.copy(); leaf.data[ix] += h; lp = float(compute().data)
-            leaf.data = base.copy(); leaf.data[ix] -= h; lm = float(compute().data)
-            g[ix] = (lp - lm) / (2 * h)
-        leaf.data = base
-        analytic = leaf.grad if leaf.grad is not None else np.zeros_like(base)
-        assert np.abs(analytic - g).max() < 1e-6
+    ad.backward(compute())
+    for leaf, g in zip((logits, out), fd_gradient(lambda: float(compute().data),
+                                                    (logits, out), h=1e-6)):
+        assert np.abs(leaf.grad - g).max() < 1e-6
 
 
 def test_log_softmax_matches_direct_evaluation():
     logits = np.array([[1.0, 2.0, 3.0]])
-    out = ad.log_softmax(Tensor(logits)).data
+    out = ad.log_softmax_np(logits)
     direct = np.log(np.exp(logits) / np.exp(logits).sum())
     assert np.abs(out - direct).max() < 1e-12
 
@@ -131,15 +154,15 @@ def test_sparse_first_layer_gradient_equals_the_dense_product():
     net = Mlp([40, 8, 3], rng)
     x = (rng.random((64, 40)) < 0.1).astype(np.float64)
     x[:, [3, 17, 29]] = 0.0                      # cells the batch never sets
-    y = rng.normal(size=(64, 3))
-    ad.backward((net.forward(Tensor(x)) - Tensor(y)).square().mean())
-    # the gradient g reaching the first layer's pre-activation, from the same
-    # graph with that pre-activation as a leaf
+    out = net.forward(x)
+    ad.backward(policy_loss(out, rng.integers(0, 3, size=64), rng.normal(size=64) - 1.1,
+                            rng.normal(size=64), PpoConfig())[0])
+    # the gradient g reaching the first layer's pre-activation, in numpy from
+    # the gradient the loss sent to the output
     cols = np.flatnonzero(x.any(axis=0))
     w0, w1 = net.weights[0].data, net.weights[1].data
-    z = Tensor(x[:, cols] @ w0[cols] + net.biases[0].data, requires_grad=True)
-    ad.backward((z.tanh() @ Tensor(w1) + Tensor(net.biases[1].data)
-                 - Tensor(y)).square().mean())
-    dense = x.T @ z.grad
+    a = np.tanh(x[:, cols] @ w0[cols] + net.biases[0].data)
+    g = (out.grad @ w1.T) * (1.0 - a * a)
+    dense = x.T @ g
     assert not net.weights[0].grad[[3, 17, 29]].any()
     assert np.array_equal(net.weights[0].grad, dense)

@@ -56,6 +56,21 @@ def test_config_flat_round_trip():
 
 def test_flat_config_takes_missing_keys_from_run_config_defaults():
     assert config_from_flat_dict({"algorithm": "hop"}) == RunConfig(algorithm="hop")
+    # the defaults, HopConfig's desk checkpoint interval among them
+    defaults = {
+        "anneal_lr": False, "clip_coef": 0.2, "clip_vloss": False, "ent_coef": 0.01,
+        "gae_lambda": 0.95, "gamma": 0.999, "learning_rate": 0.0005, "max_grad_norm": 0.5,
+        "norm_adv": True, "num_envs": 16, "num_minibatches": 8, "num_steps": 256,
+        "target_kl": 0.05, "update_epochs": 3, "vf_coef": 0.5, "attributes": "joined",
+        "checkpoint_gradients": True, "checkpoint_interval": 24576, "eval_episodes": 10,
+        "min_similarity_score": 0.98, "reward_limit": 7.5, "trusted_cap": 4096,
+        "batch_size": 4096, "minibatch_size": 512, "algorithm": "ppo",
+        "experiment": "runner-climber-runner", "also_eval_phase1": False, "eval_batch_size": 10,
+        "max_ep_length": 200, "max_eval_ep_len": 200, "proc_num_levels": 5, "proc_start": 1,
+        "report_epoch": 8192, "seed": 1, "total_timesteps": 294912,
+    }
+    assert config_to_flat_dict(RunConfig()) == defaults
+    assert config_to_flat_dict(config_from_flat_dict({})) == defaults
 
 
 def test_config_rejects_unknown_keys():

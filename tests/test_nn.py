@@ -8,6 +8,7 @@ from orchestra.autodiff import Tensor, softmax_np
 from orchestra.errors import ContractError, DimensionError
 from orchestra.nn import Adam, Mlp, sample_categorical_batch
 from orchestra.pnn import PnnStack
+from orchestra.ppo import PpoConfig, policy_loss
 
 from conftest import assert_parameters_stay_aligned
 
@@ -208,25 +209,34 @@ def test_dense_input_gives_the_plain_product(rng):
 # --- the taped stack node -----------------------------------------------------------
 
 
-def _reference_hidden(net, x):
-    """The layers before net's output layer as a per-layer graph of autodiff
-    ops over copies of its parameters: (cols, hidden, leaves). The first
-    layer multiplies ``x[:, cols]`` by a leaf that holds ``W0[cols]``."""
+def _reference_gradients(net, x, g, h=None) -> list:
+    """The gradients of net's parameters, in ``parameters`` order, for the
+    gradient g at its output, layer by layer in plain numpy: the bias's sum,
+    the product's transposes and the tanh derivative. The output layer reads
+    ``h`` if given, else net's last hidden layer. The first layer multiplies
+    ``x[:, cols]`` by ``W0[cols]``, and its weight gradient fills those rows
+    of a zero array."""
     cols = np.flatnonzero(x.any(axis=0))
-    leaves = [Tensor(p.data, requires_grad=True) for p in net.parameters]
-    leaves[0] = Tensor(net.weights[0].data[cols], requires_grad=True)
-    h = Tensor(x[:, cols])
-    for w, b in zip(leaves[:-2:2], leaves[1:-2:2]):
-        h = (h @ w + b).tanh()
-    return cols, h, leaves
+    acts = [x[:, cols]]
+    for i in range(len(net.weights) - 1):
+        w = net.weights[i].data
+        acts.append(np.tanh(acts[-1] @ (w[cols] if i == 0 else w) + net.biases[i].data))
+    grads = [(acts[-1] if h is None else h).T @ g, g.sum(axis=0)]
+    g = g @ net.weights[-1].data.T
+    for i in reversed(range(len(acts) - 1)):
+        g = g * (1.0 - acts[i + 1] * acts[i + 1])
+        grads[:0] = [acts[i].T @ g, g.sum(axis=0)]
+        g = g @ (net.weights[i].data[cols] if i == 0 else net.weights[i].data).T
+    dense = np.zeros_like(net.weights[0].data)
+    dense[cols] += grads[0]
+    return [dense] + grads[1:]
 
 
-def _reference_gradients(net, cols, leaves):
-    """The leaves' gradients, W0's written into rows cols of a zero array."""
-    grads = [leaf.grad for leaf in leaves]
-    grads[0] = np.zeros_like(net.weights[0].data)
-    grads[0][cols] += leaves[0].grad
-    return grads
+def _surrogate(out, rng):
+    """The policy loss over ``out`` for random actions, log-probs and advantages."""
+    rows, n = out.data.shape
+    return policy_loss(out, rng.integers(0, n, size=rows), rng.normal(size=rows) - np.log(n),
+                       rng.normal(size=rows), PpoConfig())[0]
 
 
 @pytest.mark.parametrize("rows", [1, 16, 512])
@@ -234,39 +244,41 @@ def test_forward_gradients_equal_a_per_layer_graph(rows):
     rng = np.random.default_rng(rows)
     net = Mlp([60, 16, 16, 5], rng)
     for x in (_binary_batch(rng, rows), np.zeros((rows, 60)), rng.normal(size=(rows, 60))):
-        y = Tensor(rng.normal(size=(rows, 5)))
         ad.zero_grads(net.parameters)
-        ad.backward((net.forward(x) - y).square().mean())
-        cols, h, leaves = _reference_hidden(net, x)
-        ad.backward((h @ leaves[-2] + leaves[-1] - y).square().mean())
-        want = _reference_gradients(net, cols, leaves)
+        out = net.forward(x)
+        ad.backward(_surrogate(out, rng))
+        want = _reference_gradients(net, x, out.grad)
         for p, g in zip(net.parameters, want, strict=True):
             assert np.array_equal(p.grad, g)
 
 
 def test_pnn_graph_gradients_equal_a_per_layer_graph():
+    # column c reads columns a and b through two adapters
     rng = np.random.default_rng(5)
     stack = PnnStack(60, 5, 16, 1e-3, rng)
-    stack.add_column("a")
-    stack.add_column("b")
-    adapter = stack.adapters[("actor", 0, 1)]
-    adapter.weight.data = rng.normal(size=(16, 16))
-    adapter.bias.data = rng.normal(size=16)
+    for task in "abc":
+        stack.add_column(task)
+    adapters = [stack.adapters[("actor", src, 2)] for src in (0, 1)]
+    for adapter in adapters:
+        adapter.weight.data = rng.normal(size=(16, 16))
+        adapter.bias.data = rng.normal(size=16)
     x = _binary_batch(rng, 64)
-    y = Tensor(rng.normal(size=(64, 5)))
-    out = stack.net("b", "actor").forward(x)
-    ad.backward((out - y).square().mean())
+    out = stack.net("c", "actor").forward(x)
+    ad.backward(_surrogate(out, rng))
 
-    actor = stack.columns[1].actor
-    cols, h, leaves = _reference_hidden(actor, x)
-    src_h = stack.columns[0].actor.hidden_np(x)
-    w, b = (Tensor(p.data, requires_grad=True) for p in adapter.parameters)
-    h = h + (Tensor(np.maximum(src_h, 0.0)) @ w + b)
-    ad.backward((h @ leaves[-2] + leaves[-1] - y).square().mean())
-    want = _reference_gradients(actor, cols, leaves) + [w.grad, b.grad]
-    for p, g in zip(actor.parameters + adapter.parameters, want, strict=True):
+    actor = stack.columns[2].actor
+    h = actor.hidden_np(x)
+    feats = [np.maximum(stack.columns[src].actor.hidden_np(x), 0.0) for src in (0, 1)]
+    for f, adapter in zip(feats, adapters):
+        h = h + (f @ adapter.weight.data + adapter.bias.data)
+    want = _reference_gradients(actor, x, out.grad, h)
+    g = out.grad @ actor.weights[-1].data.T
+    for f in feats:
+        want += [f.T @ g, g.sum(axis=0)]
+    params = actor.parameters + [p for adapter in adapters for p in adapter.parameters]
+    for p, g in zip(params, want, strict=True):
         assert np.array_equal(p.grad, g)
-    assert all(p.grad is None for p in stack.columns[0].actor.parameters)
+    assert all(p.grad is None for c in stack.columns[:2] for p in c.actor.parameters)
 
 
 def test_forward_refuses_an_input_on_the_tape(rng):
@@ -276,7 +288,7 @@ def test_forward_refuses_an_input_on_the_tape(rng):
         with pytest.raises(ContractError):
             forward(x)
         with pytest.raises(ContractError):
-            forward(Tensor(np.ones((2, 5))) * x)
+            forward(Mlp([3, 4, 5], rng).forward(rng.normal(size=(2, 3))))
 
 
 def test_numpy_output_layer_refuses_a_non_finite_output(rng):

@@ -13,6 +13,7 @@ from orchestra import autodiff as ad
 from orchestra import ppo
 from orchestra.autodiff import Tensor
 from orchestra.envs import EnvInstance, LevelSpec, N_ACTIONS, OBS_DIM, VecEnv
+from orchestra.errors import ContractError
 
 # hand-verified optimal route through the (runner, 7) layout: reaches the
 # goal in 12 steps for exactly +10 reward (no cues on this path)
@@ -279,7 +280,12 @@ def test_actor_gradient_reduces_to_vanilla_policy_gradient():
     acts = buffer.actions.reshape(B)
     adv = gae.advantages.reshape(B)
     out = actor.forward(Tensor(obs))
-    vanilla = -(ad.pick(ad.log_softmax(out), acts) * Tensor(adv)).mean()
+    # -mean(adv * log p(a)), whose gradient in the logits is adv * (p - onehot) / B
+    logp = ad.log_softmax_np(out.data)
+    p_minus_onehot = ad.softmax_np(out.data)
+    p_minus_onehot[np.arange(B), acts] -= 1.0
+    vanilla = ad.node(-(logp[np.arange(B), acts] * adv).mean(), (out,),
+                      lambda g: out._accumulate(g * p_minus_onehot * adv[:, None] / B))
     ad.zero_grads(actor.parameters)
     ad.backward(vanilla)
     for g_s, p in zip(surrogate_grads, actor.parameters):
@@ -306,6 +312,24 @@ def test_nan_loss_aborts_with_diagnostic(monkeypatch):
         before = _opt_bits(opts)
         getattr(gae, term)[:] = np.nan
         with pytest.raises(RuntimeError, match="non-finite loss"):
+            ppo_update(buffer, gae, actor, critic, cfg, *opts, np.random.default_rng(1))
+        assert _opt_bits(opts) == before
+
+
+def test_nan_logits_stop_the_update_before_any_step(monkeypatch):
+    # a NaN in the actor's output bias makes a column of its logits NaN: the
+    # policy loss refuses them, and no optimizer moves, with the worker
+    # thread or without
+    cfg = tiny_cfg(update_epochs=1, num_minibatches=1)
+    for worker in (True, False):
+        monkeypatch.setattr(ppo, "_worker_fits", lambda: worker)
+        actor, critic, buffer = _collected(cfg)
+        gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
+        opts = [Adam(actor.parameters, 1e-3), Adam(critic.parameters, 1e-3)]
+        ppo_update(buffer, gae, actor, critic, cfg, *opts, np.random.default_rng(1))
+        actor.biases[-1].data[2] = np.nan
+        before = _opt_bits(opts)
+        with pytest.raises(ContractError, match="log_softmax: NaN in logits"):
             ppo_update(buffer, gae, actor, critic, cfg, *opts, np.random.default_rng(1))
         assert _opt_bits(opts) == before
 
@@ -532,17 +556,19 @@ def test_split_backward_equals_the_joint_loss_backward(monkeypatch, one_blas_thr
     B = cfg.batch_size
     idx = np.random.default_rng(1).permutation(B)
     obs = buffer.obs.reshape(B, -1)[idx]
-    logp_all = ad.log_softmax(twins[0].forward(obs))
-    newlogp = ad.pick(logp_all, buffer.actions.reshape(B)[idx])
-    ratio = (newlogp - Tensor(buffer.logprobs.reshape(B)[idx])).exp()
-    adv = Tensor(gae.advantages.reshape(B)[idx])
-    pg_loss = -ad.minimum(ratio * adv,
-                          ad.clip(ratio, 1.0 - cfg.clip_coef, 1.0 + cfg.clip_coef) * adv).mean()
-    entropy = -(logp_all.exp() * logp_all).sum(axis=-1).mean()
-    v = twins[1].forward(obs).reshape(-1)
-    v_loss = 0.5 * (v - Tensor(gae.returns.reshape(B)[idx])).square().mean()
+    policy, _ = ppo.policy_loss(twins[0].forward(obs), buffer.actions.reshape(B)[idx],
+                                buffer.logprobs.reshape(B)[idx], gae.advantages.reshape(B)[idx],
+                                cfg)
+    value, _ = ppo.value_loss(twins[1].forward(obs), gae.returns.reshape(B)[idx],
+                              buffer.values.reshape(B)[idx], cfg)
     twin_params = twins[0].parameters + twins[1].parameters
-    ad.backward(pg_loss - cfg.ent_coef * entropy + cfg.vf_coef * v_loss)
+
+    def joint_backward(g):
+        """The joint loss, policy + value, sends its gradient to both."""
+        policy._accumulate(g)
+        value._accumulate(g)
+
+    ad.backward(ad.node(policy.data + value.data, (policy, value), joint_backward))
     clip_grad_norm(twin_params, cfg.max_grad_norm)
     for p, twin in zip(actor.parameters + critic.parameters, twin_params, strict=True):
         assert p.grad.tobytes() == twin.grad.tobytes()
