@@ -91,15 +91,18 @@ def softmax_np(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def backward(loss: Tensor):
-    """Run reverse-mode accumulation from a scalar loss node."""
-    if loss.data.size != 1:
+def backward(root: Tensor, grad: Optional[np.ndarray] = None):
+    """Run reverse-mode accumulation from ``root``: a scalar loss or, given
+    ``grad``, the gradient it receives, a node of any shape."""
+    if grad is None and root.data.size != 1:
         raise ContractError(
-            f"backward: loss must be scalar, got shape {loss.data.shape}"
+            f"backward: loss must be scalar, got shape {root.data.shape}"
         )
+    if grad is not None and np.shape(grad) != root.data.shape:
+        raise ContractError(f"backward: gradient shape {np.shape(grad)} != {root.data.shape}")
     topo: list[Tensor] = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         t, expanded = stack.pop()
         if id(t) in seen:
@@ -112,7 +115,7 @@ def backward(loss: Tensor):
         for p in t._parents:
             if id(p) not in seen and (p._backward is not None or p.requires_grad):
                 stack.append((p, False))
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(root.data) if grad is None else grad
     for t in reversed(topo):
         if t._backward is not None and t.grad is not None:
             t._backward(t.grad)

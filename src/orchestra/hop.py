@@ -14,9 +14,10 @@ import functools
 import hashlib
 import json
 import operator
+import queue
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -424,9 +425,11 @@ def checkpoint_now(learner: Mlp, orchestra: Orchestra,
 
 
 def joined_logits(logits: Tensor, routed: Sequence[tuple[np.ndarray, Tensor]],
-                  const: np.ndarray) -> Tensor:
+                  const: np.ndarray, send: Callable = lambda task: task()) -> Tensor:
     """``logits + spread @ out``, for each routed ``(spread, out)`` in turn,
-    plus ``const``, as one tape node: ``spread.T @ g`` goes to each ``out``."""
+    plus ``const``, as one tape node over ``logits``: its backward sends
+    ``g`` to ``logits`` and, per routed term, the task "backward from ``out``
+    with ``spread.T @ g``" to ``send``, which by default runs it at once."""
     data = logits.data
     for spread, out in routed:
         data = data + spread @ out.data
@@ -434,9 +437,9 @@ def joined_logits(logits: Tensor, routed: Sequence[tuple[np.ndarray, Tensor]],
     def backward(g):
         logits._accumulate(g)
         for spread, out in routed:
-            out._accumulate(spread.T @ g)
+            send(lambda out=out, spread=spread: ad.backward(out, spread.T @ g))
 
-    return ad.node(data + const, (logits, *(out for _, out in routed)), backward)
+    return ad.node(data + const, (logits,), backward)
 
 
 def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
@@ -449,7 +452,9 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
     bitmask has bit m set (and only when checkpoint gradients are enabled);
     every other checkpoint contribution is folded in as a constant. Frozen
     snapshots never change, so their part is the one each act stored. Routed
-    gradients need an optimizer on every checkpoint (ContractError).
+    gradients need an optimizer on every checkpoint (ContractError). A routed
+    snapshot's backward is not on the policy loss's tape: ``joined_logits``
+    queues it as a task, which either of ``ppo_update``'s threads runs.
     """
     M = len(orchestra)
     records = np.concatenate(buffer.aux)
@@ -484,7 +489,7 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
             else:
                 out = ckpt.actor.forward_np(x)
             const += spread[0] @ out
-        return joined_logits(logits, outs, const)
+        return joined_logits(logits, outs, const, tasks.put)
 
     def logits_fn(idx: np.ndarray):
         logits = learner.forward(Tensor(obs_flat[idx]))
@@ -497,8 +502,9 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
     extra_opts = [c.opt for c in orchestra.checkpoints] if route_grads else []
     if None in extra_opts:
         raise ContractError("routed checkpoint gradients need an optimizer on every checkpoint")
-    return ppo_update(buffer, gae, learner, critic, ppo_cfg, actor_opt,
-                      critic_opt, rng, logits_fn=logits_fn, extra_opts=extra_opts)
+    tasks = queue.SimpleQueue() if extra_opts else None
+    return ppo_update(buffer, gae, learner, critic, ppo_cfg, actor_opt, critic_opt, rng,
+                      logits_fn=logits_fn, extra_opts=extra_opts, tasks=tasks)
 
 
 # --- on-disk checkpoint bundles ----------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 from contextlib import nullcontext
 from dataclasses import dataclass, asdict
 from functools import partial
@@ -204,7 +205,8 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
                cfg: PpoConfig, actor_opt: Adam, critic_opt: Adam,
                rng: np.random.Generator,
                logits_fn: Optional[Callable[[np.ndarray], Tensor]] = None,
-               extra_opts: Sequence[Adam] = ()) -> UpdateStats:
+               extra_opts: Sequence[Adam] = (),
+               tasks: Optional[queue.SimpleQueue] = None) -> UpdateStats:
     """Clipped-surrogate update with entropy bonus and target-KL early stop.
 
     The actor and critic are networks with ``Mlp``'s ``forward``.
@@ -218,9 +220,12 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
     Each minibatch runs as two halves that share no parameter: the policy
     half (logits_fn, surrogate, entropy) and the value half (the critic's
     forward, value loss), each with its own backward. The gradient a
-    parameter gets is the one the joint loss would give it, bit for bit. Clip
-    and steps run per parameter in two ``_lanes``. Where ``_worker_fits()``,
-    the value half and the second lane run on a worker thread for this call.
+    parameter gets is the one the joint loss would give it, bit for bit.
+    ``tasks``, where given, is the queue into which the policy half's
+    backward puts zero-argument tasks (HOP's routed snapshot backwards); each
+    half then runs tasks until it takes an end mark. Clip and steps run per
+    parameter in two ``_lanes``. Where ``_worker_fits()``, the value half,
+    its share of the tasks and the second lane run on a worker thread.
     """
     B = buffer.num_steps * buffer.num_envs
     obs_flat = buffer.obs.reshape(B, -1)
@@ -250,6 +255,22 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
         ad.backward(loss)
         return v_loss
 
+    def drained(half, marks, idx):
+        """``half(idx)``, then the ``tasks`` queued up to an end mark; ``marks``
+        end marks go in after the half, whether it returns or raises."""
+        try:
+            result = half(idx)
+        finally:
+            for _ in range(marks):
+                tasks.put(None)
+        for task in iter(tasks.get, None):
+            task()
+        return result
+
+    halves = (policy_half, value_half)
+    if tasks is not None:       # the policy half queues every task; each side takes one mark
+        halves = (partial(drained, policy_half, 2), partial(drained, value_half, 0))
+
     with _update_worker() as worker:
         pl_sum = vl_sum = ent_sum = kl_sum = cf_sum = gn_sum = 0.0
         n_mb = 0
@@ -261,7 +282,7 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
                 idx = perm[start:start + cfg.minibatch_size]
                 ad.zero_grads(params)
                 (pg, ent, kl, cf), vl = _side_by_side(
-                    worker, partial(policy_half, idx), partial(value_half, idx))
+                    worker, *(partial(half, idx) for half in halves))
                 # the joint loss's value, summed as the joint graph summed it
                 if not np.isfinite(pg - cfg.ent_coef * ent + cfg.vf_coef * vl):
                     raise RuntimeError(
@@ -381,9 +402,13 @@ def value_loss(values: Tensor, returns: np.ndarray, old_values: np.ndarray,
 # At one BLAS thread a matmul keeps one core busy, so on a host with two or
 # more usable CPUs the update runs each minibatch's value half on one worker
 # thread while the main thread runs the policy half, then splits the norm and
-# Adam steps by parameter. Each part does its inline arithmetic at one BLAS
-# thread, so the outputs do not depend on whether the worker ran. A
-# multi-threaded BLAS already uses the other cores, and there all runs inline.
+# Adam steps by parameter. HOP's routed snapshot backwards are queued tasks
+# that both threads take once their halves are done; a snapshot shares no
+# parameter with anything else the update trains, so the thread that ran
+# its task does not change its gradient. Each part does its inline
+# arithmetic at one BLAS thread, so the outputs do not depend on whether
+# the worker ran. A multi-threaded BLAS already uses the other cores, and
+# there all runs inline.
 # Each update makes and joins its own worker, so no thread outlives it.
 
 

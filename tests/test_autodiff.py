@@ -28,6 +28,22 @@ def test_backward_requires_scalar_loss(rng):
         ad.backward(net.forward(rng.normal(size=(2, 3))))
 
 
+def test_backward_from_a_node_given_its_gradient(rng):
+    # backward from a network's (B, A) output given G leaves the bits of a
+    # backward from a scalar node whose backward sends G to that output
+    net = Mlp([5, 6, 3], rng)
+    twin = net.clone()
+    x = rng.normal(size=(4, 5))
+    grad = rng.normal(size=(4, 3))
+    ad.backward(net.forward(x), grad)
+    out = twin.forward(x)
+    ad.backward(ad.node((out.data * grad).sum(), (out,), lambda g: out._accumulate(grad)))
+    for p, q in zip(net.parameters, twin.parameters, strict=True):
+        assert p.grad.tobytes() == q.grad.tobytes()
+    with pytest.raises(ContractError, match="gradient shape"):
+        ad.backward(net.forward(x), grad[:, :2])
+
+
 def test_unused_parameter_gets_no_gradient(rng):
     used, unused = Mlp([3, 4, 1], rng), Mlp([3, 4, 1], rng)
     x = rng.normal(size=(5, 3))

@@ -1,16 +1,18 @@
 import itertools
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from orchestra import autodiff as ad
-from orchestra import ppo
+from orchestra import hop, ppo
 from orchestra.autodiff import Tensor
 from orchestra.envs import EnvInstance, LevelSpec, N_ACTIONS, OBS_DIM, VecEnv
 from orchestra.errors import ContractError
@@ -446,9 +448,9 @@ def test_the_worker_thread_leaves_the_inline_bits(case, monkeypatch, one_blas_th
     for worker in (True, False):
         threads = set()
 
-        def recorded(loss):
+        def recorded(root, grad=None):
             threads.add(threading.get_ident())
-            backward(loss)
+            backward(root, grad)
 
         monkeypatch.setattr(ad, "backward", recorded)
         monkeypatch.setattr(ppo, "_worker_fits", lambda: worker)
@@ -464,6 +466,113 @@ def test_the_worker_thread_leaves_the_inline_bits(case, monkeypatch, one_blas_th
         assert len(threads) == (2 if worker else 1)
         results.append((np.array(astuple(stats), dtype=float).tobytes(), _opt_bits(opts)))
     assert results[0] == results[1]
+
+
+def _routed_case(m=4):
+    """A routed update over ``m`` snapshots, and its optimizers."""
+    from test_hop import _hop_rollout, _hop_setup
+    learner, critic, orch, hop_cfg, ppo_cfg = _hop_setup(m)
+    buffer = _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg)
+    gae = compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda, norm_adv=True)
+    opts = [Adam(learner.parameters, 1e-3), Adam(critic.parameters, 1e-3),
+            *(c.opt for c in orch.checkpoints)]
+    return (lambda: masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
+                                         opts[0], opts[1], np.random.default_rng(9))), opts
+
+
+_BACKWARD = ad.backward
+
+
+def _slow_snapshot_backwards(monkeypatch, on_task=lambda: None):
+    """Make each routed snapshot's backward (a backward given a gradient)
+    call ``on_task``, then sleep 2 ms, so the queue holds work while the
+    other thread is free; return the list of the threads that ran them."""
+    threads = []
+
+    def recorded(root, grad=None):
+        if grad is not None:
+            threads.append(threading.current_thread())
+            on_task()
+            time.sleep(0.002)
+        _BACKWARD(root, grad)
+
+    monkeypatch.setattr(ad, "backward", recorded)
+    return threads
+
+
+def test_routed_snapshot_backwards_run_on_both_threads(monkeypatch, one_blas_thread):
+    results = []
+    for worker in (True, False):
+        monkeypatch.setattr(ppo, "_worker_fits", lambda: worker)
+        threads = _slow_snapshot_backwards(monkeypatch)
+        run, opts = _routed_case()
+        stats = run()
+        # all four snapshots were routed into, and each thread took some of
+        # their backwards
+        assert all(opt.step_count > 0 for opt in opts[2:])
+        names = {t.name.startswith("ppo-update") for t in threads}
+        assert names == ({True, False} if worker else {False})
+        results.append((np.array(astuple(stats), dtype=float).tobytes(), _opt_bits(opts)))
+    assert results[0] == results[1]
+
+
+def _raises_without_deadlock(update, queues, error, match):
+    """Run ``update`` on a helper thread: it must raise ``error`` matching
+    ``match`` within a minute and leave no update thread alive. A deadlock
+    fails the test; a task that raises, put in each of the update's
+    ``queues``, ends it so that the test process can exit."""
+    caught = []
+
+    def target():
+        try:
+            update()
+        except Exception as e:
+            caught.append(e)
+
+    def release():
+        raise RuntimeError("released")
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout=60)
+    if helper.is_alive():
+        for q in queues:
+            q.put(release)
+            q.put(release)
+        helper.join(timeout=60)
+        pytest.fail("the update deadlocked")
+    assert len(caught) == 1 and isinstance(caught[0], error), caught
+    assert re.search(match, str(caught[0]))
+    assert not _update_threads()
+
+
+@pytest.mark.parametrize("worker", [True, False], ids=["worker", "inline"])
+def test_a_failing_half_cannot_deadlock_the_queue(worker, monkeypatch):
+    monkeypatch.setattr(ppo, "_worker_fits", lambda: worker)
+    update, queues = hop.ppo_update, []
+
+    def recorded(*args, tasks=None, **kwargs):
+        queues.append(tasks)
+        return update(*args, tasks=tasks, **kwargs)
+
+    monkeypatch.setattr(hop, "ppo_update", recorded)
+    # NaN logits raise in the policy half, before any snapshot backward is queued
+    run, opts = _routed_case()
+    opts[0].params[-1].data[2] = np.nan          # the learner's output bias
+    threads = _slow_snapshot_backwards(monkeypatch)
+    _raises_without_deadlock(run, queues, ContractError, "log_softmax: NaN in logits")
+    assert not threads
+    # a snapshot backward raises on one side: the first task the main side
+    # runs, or the first the worker runs
+    for side in ("main", "worker") if worker else ("main",):
+        def on_task():
+            if threading.current_thread().name.startswith("ppo-update") == (side == "worker"):
+                raise RuntimeError(f"snapshot backward failed on the {side} side")
+
+        _slow_snapshot_backwards(monkeypatch, on_task)
+        run, _ = _routed_case()
+        _raises_without_deadlock(run, queues, RuntimeError, f"failed on the {side} side")
+    assert queues and None not in queues
 
 
 def _with_gradients(*nets) -> list[Adam]:
