@@ -30,12 +30,6 @@ from .hop import HopConfig, JoinedSource, Orchestra, checkpoint_now, masked_poli
 from .pnn import ColumnSource, PnnStack, pnn_update
 
 HIDDEN = 256
-ALGORITHMS = ("ppo", "hop", "pnn")
-
-# desk-scale defaults; every interval is a multiple of the rollout batch
-DESK_TOTAL_TIMESTEPS = 294_912          # 3 phases x 24 rollouts x 4096
-DESK_REPORT_EPOCH = 8_192
-DESK_NUM_LEVELS = 5
 
 
 @dataclass
@@ -55,13 +49,6 @@ class PhaseSpec:
 class PhasePlan:
     phases: list[PhaseSpec]
 
-    def validate(self):
-        if len(self.phases) != 3:
-            raise ConfigError("a run has exactly three phases")
-        p1, p3 = self.phases[0], self.phases[2]
-        if (p1.family, p1.level_seeds) != (p3.family, p3.level_seeds):
-            raise ConfigError("phases 1 and 3 must share family and level set")
-
     @property
     def boundaries(self) -> list[int]:
         """Cumulative step at which each phase ends."""
@@ -73,11 +60,12 @@ class RunConfig:
     algorithm: str = "ppo"
     ppo: PpoConfig = field(default_factory=PpoConfig)
     hop: HopConfig = field(default_factory=HopConfig)
-    families: tuple[str, str, str] = ("runner", "climber", "runner")
+    experiment: str = "runner-climber-runner"
     proc_start: int = 1
-    proc_num_levels: int = DESK_NUM_LEVELS
-    total_timesteps: int = DESK_TOTAL_TIMESTEPS
-    report_epoch: int = DESK_REPORT_EPOCH
+    # desk scale; every interval is a multiple of the rollout batch
+    proc_num_levels: int = 5
+    total_timesteps: int = 294_912          # 3 phases x 24 rollouts x 4096
+    report_epoch: int = 8_192
     eval_batch_size: int = 10
     max_ep_length: int = 200
     max_eval_ep_len: int = 200
@@ -87,14 +75,19 @@ class RunConfig:
     def plan(self) -> PhasePlan:
         per_phase = self.total_timesteps // 3
         seeds = tuple(range(self.proc_start, self.proc_start + self.proc_num_levels))
-        return PhasePlan([PhaseSpec(f, seeds, per_phase) for f in self.families])
+        return PhasePlan([PhaseSpec(f, seeds, per_phase) for f in self.experiment.split("-")])
 
     def validate(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
-        for fam in self.families:
+        if self.algorithm not in TRAINERS:
+            raise ConfigError(f"algorithm must be one of {tuple(TRAINERS)}")
+        families = self.experiment.split("-")
+        if len(families) != 3:
+            raise ConfigError("experiment must be 'familyA-familyB-familyA'")
+        for fam in families:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown family {fam!r}")
+        if families[0] != families[2]:
+            raise ConfigError("phases 1 and 3 must share family and level set")
         self.ppo.validate()
         self.hop.validate()
         require_positive(self, "total_timesteps", "max_ep_length", "max_eval_ep_len",
@@ -111,7 +104,6 @@ class RunConfig:
             raise ConfigError(f"report_epoch must be a multiple of {batch}")
         if self.algorithm == "hop" and self.hop.checkpoint_interval % batch != 0:
             raise ConfigError(f"checkpoint_interval must be a multiple of {batch}")
-        self.plan().validate()
 
 
 @dataclass
@@ -132,9 +124,6 @@ class MetricsReport:
     phase_steps: list[int]           # cumulative phase boundaries
     config_echo: dict
 
-    def phase3_start(self) -> int:
-        return self.phase_steps[1]
-
 
 def steps_to_return(report: MetricsReport) -> int | str:
     """Steps after phase-3 start until the phase-1 peak is first re-attained."""
@@ -142,10 +131,9 @@ def steps_to_return(report: MetricsReport) -> int | str:
     if not phase1:
         return "not reached"
     peak = max(phase1)
-    start = report.phase3_start()
     for row in report.rows:
         if row.phase == 3 and row.mean_return >= peak:
-            return row.step - start
+            return row.step - report.phase_steps[1]
     return "not reached"
 
 
@@ -211,8 +199,15 @@ def read_metrics_csv(path) -> list[MetricsRow]:
 
 
 class Trainer:
-    """Owns all mutable run state; picklable at rollout boundaries. It
-    refuses an ``out_dir`` that already holds a run's config.json."""
+    """The PPO trainer, and the base of HOP's and PNN's, which override its
+    hooks. It owns all mutable run state, picklable at rollout boundaries,
+    and runs the phases, evaluations and persists. ``Trainer(config)`` builds
+    a ``TRAINERS[config.algorithm]``. It refuses an ``out_dir`` that already
+    holds a run's config.json."""
+
+    def __new__(cls, config: Optional[RunConfig] = None, out_dir: Optional[str] = None):
+        # unpickling calls __new__ with no arguments, and gets cls itself
+        return super().__new__(cls if config is None else TRAINERS.get(config.algorithm, cls))
 
     def __init__(self, config: RunConfig, out_dir: Optional[str] = None):
         config.validate()
@@ -232,14 +227,7 @@ class Trainer:
         init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x1217]))
         self.orchestra = Orchestra()
         self.stack: Optional[PnnStack] = None
-        if config.algorithm == "pnn":     # trains its columns, and has no learner
-            self.stack = PnnStack(OBS_DIM, N_ACTIONS, HIDDEN,
-                                  config.ppo.learning_rate, init_rng)
-        else:
-            self.actor = Mlp([OBS_DIM, HIDDEN, HIDDEN, N_ACTIONS], init_rng)
-            self.critic = Mlp([OBS_DIM, HIDDEN, HIDDEN, 1], init_rng)
-            self.actor_opt = Adam(self.actor.parameters, config.ppo.learning_rate)
-            self.critic_opt = Adam(self.critic.parameters, config.ppo.learning_rate)
+        self._networks(init_rng, config.ppo.learning_rate)
         self._enter_phase(0)
         if self.out_dir:
             self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,20 +244,8 @@ class Trainer:
 
     def _enter_phase(self, idx: int):
         self.current_phase = idx
-        phase = self.plan.phases[idx]
-        self.vecenv = VecEnv(phase.level_specs(), self.config.ppo.num_envs,
+        self.vecenv = VecEnv(self.plan.phases[idx].level_specs(), self.config.ppo.num_envs,
                              self.config.max_ep_length)
-        if self.stack is not None:
-            if phase.task_id() not in self.stack.task_index:
-                self.stack.add_column(phase.task_id())
-
-    def _source(self, phase_idx: int):
-        """The action source that acts on phase ``phase_idx``'s levels."""
-        if self.config.algorithm == "hop":
-            return JoinedSource(self.actor, self.orchestra, self.config.hop)
-        if self.config.algorithm == "pnn":
-            return ColumnSource(self.stack, self.plan.phases[phase_idx].task_id())
-        return LearnerSource(self.actor)
 
     # --- main loop ------------------------------------------------------
 
@@ -279,7 +255,6 @@ class Trainer:
 
     def run(self, max_iterations: Optional[int] = None) -> MetricsReport:
         cfg = self.config
-        batch = cfg.ppo.batch_size
         done_iters = 0
         while self.iteration < self.total_iterations:
             if max_iterations is not None and done_iters >= max_iterations:
@@ -287,67 +262,52 @@ class Trainer:
             phase_idx = self._phase_of(self.global_step)
             if phase_idx != self.current_phase:
                 self._enter_phase(phase_idx)
-            source = self._source(self.current_phase)
-            buffer = collect_rollout(source, self.vecenv, self._critic().forward_np,
-                                     cfg.ppo, self.train_rng)
+            buffer = collect_rollout(self._source(self.current_phase), self.vecenv,
+                                     self._critic().forward_np, cfg.ppo, self.train_rng)
             gae = compute_gae(buffer, cfg.ppo.gamma, cfg.ppo.gae_lambda,
                               norm_adv=cfg.ppo.norm_adv)
             stats = self._update(buffer, gae)
-            self.global_step += batch
+            self.global_step += cfg.ppo.batch_size
             self.iteration += 1
             done_iters += 1
-            self._accumulate_activations(buffer)
             # the rollout (13 MB of observations at desk scale) is spent: the
             # checkpoint attempt, the evaluation and the persist reuse its pages
             del buffer, gae
             self._log_update(stats)
-            if cfg.algorithm == "hop" and self.global_step % cfg.hop.checkpoint_interval == 0:
-                self._checkpoint()
+            self._checkpoint()
             if self.global_step % cfg.report_epoch == 0:
                 self._evaluate()
             self._persist()
         return self.report()
 
+    # --- the algorithm's hooks: PPO's here, HOP's and PNN's in subclasses -
+
+    def _networks(self, rng: np.random.Generator, lr: float):
+        """The learner: an actor and a critic, each with its Adam."""
+        self.actor = Mlp([OBS_DIM, HIDDEN, HIDDEN, N_ACTIONS], rng)
+        self.critic = Mlp([OBS_DIM, HIDDEN, HIDDEN, 1], rng)
+        self.actor_opt = Adam(self.actor.parameters, lr)
+        self.critic_opt = Adam(self.critic.parameters, lr)
+
+    def _source(self, phase_idx: int):
+        """The action source that acts on phase ``phase_idx``'s levels."""
+        return LearnerSource(self.actor)
+
     def _critic(self):
-        """The current phase's critic: the learner's, or the active column's."""
-        if self.stack is not None:
-            return self.stack.net(self.plan.phases[self.current_phase].task_id(), "critic")
+        """The critic of the current phase."""
         return self.critic
 
     def _update(self, buffer, gae):
-        cfg = self.config
-        if cfg.algorithm == "hop":
-            return masked_policy_update(buffer, gae, self.actor, self.critic,
-                                        self.orchestra, cfg.ppo, cfg.hop,
-                                        self.actor_opt, self.critic_opt,
-                                        self.train_rng)
-        if cfg.algorithm == "pnn":
-            phase = self.plan.phases[self.current_phase]
-            return pnn_update(self.stack, phase.task_id(), buffer, gae,
-                              cfg.ppo, self.train_rng)
-        return ppo_update(buffer, gae, self.actor, self.critic, cfg.ppo,
+        return ppo_update(buffer, gae, self.actor, self.critic, self.config.ppo,
                           self.actor_opt, self.critic_opt, self.train_rng)
 
-    def _accumulate_activations(self, buffer):
-        if self.config.algorithm != "hop":
-            return
-        active = np.concatenate(buffer.aux)["bitmask"].sum(axis=1)
-        self.act_count_accum.extend(active.astype(float).tolist())
+    def _checkpoint(self):
+        """A snapshot attempt after every update: none but HOP's takes one."""
 
     def _event_rng(self, tag: int) -> np.random.Generator:
         """The generator of one evaluation or checkpoint event at this step."""
         return np.random.default_rng(
             np.random.SeedSequence([self.config.seed, tag, self.global_step]))
-
-    def _checkpoint(self):
-        cfg = self.config
-        phase = self.plan.phases[self.current_phase]
-        ckpt = checkpoint_now(self.actor, self.orchestra, phase.level_specs(),
-                              cfg.hop, cfg.max_eval_ep_len, self._event_rng(0xC4EC),
-                              self.global_step, cfg.ppo.learning_rate)
-        if ckpt is not None and self.out_dir:
-            save_checkpoint(ckpt, self.out_dir / f"checkpoint_{ckpt.index:03d}",
-                            cfg.hop)
 
     def _evaluate(self):
         cfg = self.config
@@ -404,9 +364,66 @@ class Trainer:
         )
 
 
+class HopTrainer(Trainer):
+    """The learner acting through the orchestra of its snapshots: joined
+    acts, the masked update, and a snapshot attempt at every multiple of
+    ``checkpoint_interval``."""
+
+    def _source(self, phase_idx: int):
+        return JoinedSource(self.actor, self.orchestra, self.config.hop)
+
+    def _update(self, buffer, gae):
+        cfg = self.config
+        stats = masked_policy_update(buffer, gae, self.actor, self.critic,
+                                     self.orchestra, cfg.ppo, cfg.hop,
+                                     self.actor_opt, self.critic_opt,
+                                     self.train_rng)
+        active = np.concatenate(buffer.aux)["bitmask"].sum(axis=1)
+        self.act_count_accum.extend(active.astype(float).tolist())
+        return stats
+
+    def _checkpoint(self):
+        cfg = self.config
+        if self.global_step % cfg.hop.checkpoint_interval:
+            return
+        phase = self.plan.phases[self.current_phase]
+        ckpt = checkpoint_now(self.actor, self.orchestra, phase.level_specs(),
+                              cfg.hop, cfg.max_eval_ep_len, self._event_rng(0xC4EC),
+                              self.global_step, cfg.ppo.learning_rate)
+        if ckpt is not None and self.out_dir:
+            save_checkpoint(ckpt, self.out_dir / f"checkpoint_{ckpt.index:03d}",
+                            cfg.hop)
+
+
+class PnnTrainer(Trainer):
+    """Progressive networks: no learner, and one column per task, added on
+    entering the task's phase; each phase acts and trains its own column."""
+
+    def _networks(self, rng: np.random.Generator, lr: float):
+        self.stack = PnnStack(OBS_DIM, N_ACTIONS, HIDDEN, lr, rng)
+
+    def _enter_phase(self, idx: int):
+        super()._enter_phase(idx)
+        task_id = self.plan.phases[idx].task_id()
+        if task_id not in self.stack.task_index:
+            self.stack.add_column(task_id)
+
+    def _source(self, phase_idx: int):
+        return ColumnSource(self.stack, self.plan.phases[phase_idx].task_id())
+
+    def _critic(self):
+        return self.stack.net(self.plan.phases[self.current_phase].task_id(), "critic")
+
+    def _update(self, buffer, gae):
+        return pnn_update(self.stack, self.plan.phases[self.current_phase].task_id(),
+                          buffer, gae, self.config.ppo, self.train_rng)
+
+
+TRAINERS = {"ppo": Trainer, "hop": HopTrainer, "pnn": PnnTrainer}
+
+
 def run_three_phase(config: RunConfig, out_dir: Optional[str] = None) -> MetricsReport:
-    trainer = Trainer(config, out_dir)
-    report = trainer.run()
+    report = Trainer(config, out_dir).run()
     if out_dir:
         export_metrics(report, out_dir)
     return report
@@ -497,12 +514,12 @@ def _check_run_environment(out_dir):
 
 _PPO_KEYS = {f.name for f in fields(PpoConfig)}
 _HOP_KEYS = {f.name for f in fields(HopConfig)}
-_RUN_KEYS = ({f.name for f in fields(RunConfig)} - {"ppo", "hop", "families"}) | {"experiment"}
+_RUN_KEYS = {f.name for f in fields(RunConfig)} - {"ppo", "hop"}
 _DERIVED_KEYS = {"batch_size", "minibatch_size"}  # accepted, must be consistent
 # each key's kind, and the values it takes: a bool is no number here
 _KINDS = {f.name: getattr(f.type, "__name__", f.type)
           for c in (PpoConfig, HopConfig, RunConfig) for f in fields(c)}
-_KINDS.update(experiment="str", batch_size="int", minibatch_size="int")
+_KINDS.update(batch_size="int", minibatch_size="int")
 _ACCEPTS = {"bool": (bool, np.bool_), "int": (int, np.integer),
             "float": (int, float, np.integer, np.floating), "str": (str,)}
 
@@ -520,26 +537,11 @@ def config_from_flat_dict(raw: dict) -> RunConfig:
     raw = {k: v.item() if isinstance(v, np.generic) else v for k, v in raw.items()}
     ppo = PpoConfig(**{k: raw[k] for k in _PPO_KEYS if k in raw})
     hop = HopConfig(**{k: raw[k] for k in _HOP_KEYS if k in raw})
-    if "batch_size" in raw and raw["batch_size"] != ppo.batch_size:
-        raise ConfigError(
-            f"batch_size={raw['batch_size']} inconsistent with "
-            f"num_steps*num_envs={ppo.batch_size}"
-        )
-    if "minibatch_size" in raw and raw["minibatch_size"] != ppo.minibatch_size:
-        raise ConfigError(
-            f"minibatch_size={raw['minibatch_size']} inconsistent with "
-            f"batch_size/num_minibatches={ppo.minibatch_size}"
-        )
-    families = ("runner", "climber", "runner")
-    if "experiment" in raw:
-        parts = tuple(raw["experiment"].split("-"))
-        if len(parts) != 3:
-            raise ConfigError("experiment must be 'familyA-familyB-familyA'")
-        families = parts
-    run_kwargs = {k: raw[k] for k in _RUN_KEYS & set(raw)
-                  if k not in ("algorithm", "experiment")}
-    cfg = RunConfig(algorithm=raw.get("algorithm", "ppo"), ppo=ppo, hop=hop,
-                    families=families, **run_kwargs)
+    for key in sorted(_DERIVED_KEYS & set(raw)):
+        if raw[key] != getattr(ppo, key):
+            raise ConfigError(f"{key}={raw[key]} inconsistent with the {getattr(ppo, key)} "
+                              "that num_steps, num_envs and num_minibatches give")
+    cfg = RunConfig(ppo=ppo, hop=hop, **{k: raw[k] for k in _RUN_KEYS & set(raw)})
     cfg.validate()
     return cfg
 
@@ -549,9 +551,7 @@ def config_to_flat_dict(cfg: RunConfig) -> dict:
     out.update({k: getattr(cfg.hop, k) for k in sorted(_HOP_KEYS)})
     out["batch_size"] = cfg.ppo.batch_size
     out["minibatch_size"] = cfg.ppo.minibatch_size
-    out["algorithm"] = cfg.algorithm
-    out["experiment"] = "-".join(cfg.families)
-    for k in sorted(_RUN_KEYS - {"algorithm", "experiment"}):
+    for k in ("algorithm", "experiment", *sorted(_RUN_KEYS - {"algorithm", "experiment"})):
         out[k] = getattr(cfg, k)
     return out
 
@@ -569,7 +569,7 @@ def aggregate(run_dirs: Sequence[str]) -> dict:
                   if s["final_rewards"] is not None]
         strs = [s["steps_to_return"] for s in summaries]
         numeric = [v for v in strs if isinstance(v, (int, float))]
-        entry = {
+        out[algo] = {
             "runs": len(summaries),
             "seeds": [s["seed"] for s in summaries],
             "final_rewards_mean": float(np.mean(finals)) if finals else None,
@@ -580,5 +580,4 @@ def aggregate(run_dirs: Sequence[str]) -> dict:
             "steps_to_return_mean": float(np.mean(numeric)) if numeric else None,
             "not_reached_count": sum(1 for v in strs if v == "not reached"),
         }
-        out[algo] = entry
     return out

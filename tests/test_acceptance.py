@@ -404,7 +404,7 @@ def test_ppo_sanity_single_level():
     budget = 196_608  # 48 rollouts of 4096 <= the 200k-step budget
     passes = {}
     for seed in SEEDS:
-        cfg = RunConfig(algorithm="ppo", families=("runner",) * 3,
+        cfg = RunConfig(algorithm="ppo", experiment="runner-runner-runner",
                         proc_num_levels=1, total_timesteps=budget, seed=seed)
         trainer = Trainer(cfg)
         best = -np.inf

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import pickle
@@ -12,8 +13,8 @@ import pytest
 from orchestra import harness
 from orchestra.cli import main as cli_main
 from orchestra.errors import ConfigError
-from orchestra.harness import (MetricsReport, MetricsRow, RunConfig, Trainer,
-                               aggregate, config_from_flat_dict,
+from orchestra.harness import (HopTrainer, MetricsReport, MetricsRow, PnnTrainer,
+                               RunConfig, Trainer, aggregate, config_from_flat_dict,
                                config_to_flat_dict, export_metrics,
                                final_rewards, load_trainer, read_metrics_csv, resume,
                                run_three_phase, steps_to_return, summarize)
@@ -46,7 +47,7 @@ def tiny_run_config(algorithm="ppo", seed=1, **overrides):
 
 
 def test_config_flat_round_trip():
-    cfg = tiny_run_config("hop", families=("dodger", "runner", "dodger"))
+    cfg = tiny_run_config("hop", experiment="dodger-runner-dodger")
     flat = config_to_flat_dict(cfg)
     assert flat["experiment"] == "dodger-runner-dodger"
     assert flat["batch_size"] == 16 and flat["minibatch_size"] == 8
@@ -95,13 +96,13 @@ def test_config_validation_rules():
     with pytest.raises(ConfigError, match="algorithm"):
         tiny_run_config("sarsa").validate()
     with pytest.raises(ConfigError, match="family"):
-        tiny_run_config(families=("runner", "flyer", "runner")).validate()
+        tiny_run_config(experiment="runner-flyer-runner").validate()
     with pytest.raises(ConfigError, match="three phases"):
         tiny_run_config(total_timesteps=100).validate()
     with pytest.raises(ConfigError, match="report_epoch"):
         tiny_run_config(report_epoch=24).validate()
     with pytest.raises(ConfigError, match="share family"):
-        tiny_run_config(families=("runner", "climber", "dodger")).validate()
+        tiny_run_config(experiment="runner-climber-dodger").validate()
     with pytest.raises(ConfigError, match="anneal_lr"):
         cfg = tiny_run_config()
         cfg.ppo.anneal_lr = True
@@ -301,6 +302,47 @@ def test_a_pnn_trainer_has_no_learner(tmp_path):
     trainer.run(max_iterations=1)
     with open(tmp_path / "state.pkl", "rb") as f:
         assert not learner & set(pickle.load(f))
+
+
+_STATE = ["config", "out_dir", "plan", "global_step", "iteration", "current_phase", "rows",
+          "act_count_accum", "train_rng", "orchestra", "stack"]
+_LEARNER = ["actor", "critic", "actor_opt", "critic_opt"]
+
+
+@pytest.mark.parametrize("algorithm,cls,names", [
+    ("ppo", Trainer, _STATE + _LEARNER + ["vecenv"]),
+    ("hop", HopTrainer, _STATE + _LEARNER + ["vecenv"]),
+    ("pnn", PnnTrainer, _STATE + ["vecenv"])], ids=["ppo", "hop", "pnn"])
+def test_each_algorithm_trains_in_its_own_class(tmp_path, algorithm, cls, names):
+    trainer = Trainer(tiny_run_config(algorithm), tmp_path)
+    assert type(trainer) is cls and list(vars(trainer)) == names
+    trainer.run(max_iterations=3)
+    loaded = load_trainer(tmp_path)
+    assert type(loaded) is cls and list(vars(loaded)) == names
+    # unpickling, as of a trainer that a worker process returns, calls
+    # __new__ with no arguments; the copy trains on as the trainer would
+    copy = pickle.loads(pickle.dumps(trainer))
+    assert type(copy) is cls and list(vars(copy)) == names
+    assert copy.run().rows == run_three_phase(tiny_run_config(algorithm)).rows
+    with pytest.raises(ConfigError, match="algorithm"):
+        Trainer(tiny_run_config("sarsa"))
+
+
+@pytest.mark.parametrize("algorithm,steps", [("ppo", []), ("hop", [32, 64, 96]), ("pnn", [])],
+                         ids=["ppo", "hop", "pnn"])
+def test_only_hop_attempts_checkpoints_at_each_interval(monkeypatch, algorithm, steps):
+    attempted = []
+    original = harness.checkpoint_now
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(original).bind(*args, **kwargs)
+        attempted.append(bound.arguments["created_step"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "checkpoint_now", spy)
+    trainer = Trainer(tiny_run_config(algorithm))    # batch 16, checkpoint_interval 32
+    trainer.run()
+    assert trainer.global_step == 96 and attempted == steps
 
 
 def test_resumed_parameters_are_aligned(tmp_path):
