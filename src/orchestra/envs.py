@@ -86,20 +86,29 @@ def _level_rng(spec: LevelSpec) -> np.random.Generator:
     )
 
 
-def _bfs_reachable(passable: np.ndarray, start, goal) -> bool:
-    seen = np.zeros_like(passable, dtype=bool)
-    stack = [start]
-    seen[start] = True
+def _reachable(start, goal, moves) -> bool:
+    """Whether a search from ``start`` over ``moves(cell)``, the cells one
+    action leads to (None for a death), reaches ``goal``."""
+    seen, stack = {start}, [start]
     while stack:
-        r, c = stack.pop()
-        if (r, c) == goal:
+        pos = stack.pop()
+        if pos == goal:
             return True
-        for dr, dc in MOVES.values():
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < GRID and 0 <= nc < GRID and passable[nr, nc] and not seen[nr, nc]:
-                seen[nr, nc] = True
-                stack.append((nr, nc))
+        for nxt in moves(pos):
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
     return False
+
+
+def _walk(passable: np.ndarray):
+    """Runner and dodger moves: the four steps onto passable cells."""
+    def moves(pos):
+        for dr, dc in MOVES.values():
+            r, c = pos[0] + dr, pos[1] + dc
+            if 0 <= r < GRID and 0 <= c < GRID and passable[r, c]:
+                yield r, c
+    return moves
 
 
 def _sample_empty(rng, occupied: set, n: int, allowed=None) -> list[tuple[int, int]]:
@@ -128,7 +137,7 @@ def _gen_runner(rng) -> Optional[Layout]:
     passable = ~walls
     for h in hazards:
         passable[h] = False
-    if not _bfs_reachable(passable, start, goal):
+    if not _reachable(start, goal, _walk(passable)):
         return None
     return Layout(walls, start, goal, cues, hazards, ())
 
@@ -171,26 +180,12 @@ def _gen_climber(rng) -> Optional[Layout]:
     }
     cues = tuple(_sample_empty(rng, occupied, 2, allowed=stands))
     layout = Layout(walls, start, goal, cues, hazards, ())
-    if not _climber_reachable(layout):
+    # the search follows the climber's dynamics: moves, the jump and gravity
+    hazard_cells = set(hazards)
+    if not _reachable(start, goal, lambda pos: (_climber_move(layout, pos, a, hazard_cells)
+                                                for a in range(N_ACTIONS))):
         return None
     return layout
-
-
-def _climber_reachable(layout: Layout) -> bool:
-    """BFS over the actual climber dynamics (moves + jump + gravity)."""
-    seen = {layout.start}
-    stack = [layout.start]
-    hazards = set(layout.static_hazards)
-    while stack:
-        pos = stack.pop()
-        if pos == layout.goal:
-            return True
-        for action in range(N_ACTIONS):
-            nxt = _climber_move(layout, pos, action, hazards)
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
 
 
 def _supported(walls: np.ndarray, pos) -> bool:
@@ -249,7 +244,7 @@ def _gen_dodger(rng) -> Optional[Layout]:
     }
     occupied |= {t.position(s) for t in tracks for s in range(4 * t.amplitude)}
     cues = tuple(_sample_empty(rng, occupied, 2))
-    if not _bfs_reachable(~walls, start, goal):
+    if not _reachable(start, goal, _walk(~walls)):
         return None
     return Layout(walls, start, goal, cues, (), tuple(tracks))
 

@@ -182,22 +182,6 @@ def export_metrics(report: MetricsReport, out_dir, formats=("csv", "json")):
     return written
 
 
-def read_metrics_csv(path) -> list[MetricsRow]:
-    rows = []
-    with open(path, newline="") as f:
-        for rec in csv.DictReader(f):
-            rows.append(MetricsRow(
-                step=int(rec["step"]),
-                phase=int(rec["phase"]),
-                mean_return=float(rec["mean_return"]),
-                stderr=float(rec["stderr"]),
-                active_checkpoint_count_mean=float(rec["active_checkpoint_count_mean"]),
-                phase1_mean_return=(float(rec["phase1_mean_return"])
-                                    if rec["phase1_mean_return"] else None),
-            ))
-    return rows
-
-
 class Trainer:
     """The PPO trainer, and the base of HOP's and PNN's, which override its
     hooks. It owns all mutable run state, picklable at rollout boundaries,
@@ -378,8 +362,8 @@ class HopTrainer(Trainer):
                                      self.orchestra, cfg.ppo, cfg.hop,
                                      self.actor_opt, self.critic_opt,
                                      self.train_rng)
-        active = np.concatenate(buffer.aux)["bitmask"].sum(axis=1)
-        self.act_count_accum.extend(active.astype(float).tolist())
+        for records in buffer.aux:      # each step's active checkpoints, per env
+            self.act_count_accum.extend(records["bitmask"].sum(axis=1).astype(float).tolist())
         return stats
 
     def _checkpoint(self):

@@ -531,7 +531,7 @@ def save_checkpoint(ckpt: CheckpointPolicy, directory, hop_cfg: HopConfig):
              episode_returns=np.asarray(ckpt.trusted.episode_returns))
 
 
-def load_checkpoint(directory, rng: Optional[np.random.Generator] = None) -> CheckpointPolicy:
+def load_checkpoint(directory) -> CheckpointPolicy:
     """A bundle written by ``save_checkpoint``. ``np.load`` refuses an
     archive that holds pickled objects (ValueError), and actor arrays whose
     shapes do not fit ``actor_sizes`` raise DimensionError."""
@@ -542,7 +542,8 @@ def load_checkpoint(directory, rng: Optional[np.random.Generator] = None) -> Che
     with np.load(directory / "arrays.npz") as arrays:
         actor.set_arrays([arrays[f"actor_{i}"] for i in range(len(actor.parameters))])
         raw, returns = arrays["raw"], arrays["episode_returns"]
-    trusted = TrustedStateSet(cap=max(len(raw), 1), rng=rng or np.random.default_rng(0))
+    # the cap holds every state, so the reservoir never draws from its generator
+    trusted = TrustedStateSet(cap=max(len(raw), 1), rng=np.random.default_rng(0))
     for state, ret in zip(raw, returns):
         trusted.add_episode([state], float(ret))
     return CheckpointPolicy(

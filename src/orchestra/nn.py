@@ -14,21 +14,6 @@ HIDDEN_GAIN = np.sqrt(2.0)
 OUTPUT_GAIN = 0.01
 
 
-def init_mlp_params(
-    sizes: Sequence[int], rng: np.random.Generator
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Scaled-uniform init: gain sqrt(2) on hidden layers, 0.01 on the output."""
-    params = []
-    for i in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        gain = OUTPUT_GAIN if i == len(sizes) - 2 else HIDDEN_GAIN
-        bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        b = np.zeros(fan_out)
-        params.append((w, b))
-    return params
-
-
 class Mlp:
     """A tanh-hidden multilayer perceptron over flat float64 vectors, with
     at least one hidden layer.
@@ -44,9 +29,13 @@ class Mlp:
         self.sizes = list(sizes)
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
-        for w, b in init_mlp_params(sizes, rng):
-            self.weights.append(Tensor(w, requires_grad=True))
-            self.biases.append(Tensor(b, requires_grad=True))
+        # scaled-uniform init: gain sqrt(2) on hidden layers, 0.01 on the output
+        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            gain = OUTPUT_GAIN if i == len(sizes) - 2 else HIDDEN_GAIN
+            bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
+            self.weights.append(Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
+                                       requires_grad=True))
+            self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
 
     @property
     def parameters(self) -> list[Tensor]:

@@ -13,7 +13,8 @@ import os
 import queue
 from contextlib import nullcontext
 from dataclasses import dataclass, asdict
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -272,13 +273,11 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
         halves = (partial(drained, policy_half, 2), partial(drained, value_half, 0))
 
     with _update_worker() as worker:
-        pl_sum = vl_sum = ent_sum = kl_sum = cf_sum = gn_sum = 0.0
-        n_mb = 0
-        epochs_run = 0
-        for _epoch in range(cfg.update_epochs):
+        stats = []      # (pg, vl, ent, kl, cf, gn) of each minibatch, in order
+        starts = range(0, B, cfg.minibatch_size)
+        for epochs_run in range(1, cfg.update_epochs + 1):
             perm = rng.permutation(B)
-            epoch_kls = []
-            for start in range(0, B, cfg.minibatch_size):
+            for start in starts:
                 idx = perm[start:start + cfg.minibatch_size]
                 ad.zero_grads(params)
                 (pg, ent, kl, cf), vl = _side_by_side(
@@ -295,27 +294,12 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
                 gn = float(np.sqrt(total))
                 scale = cfg.max_grad_norm / gn if gn > cfg.max_grad_norm and gn > 0.0 else None
                 _side_by_side(worker, *(partial(_step_lane, lane, scale) for lane in lanes))
-
-                epoch_kls.append(kl)
-                pl_sum += pg
-                vl_sum += vl
-                ent_sum += ent
-                kl_sum += kl
-                cf_sum += cf
-                gn_sum += gn
-                n_mb += 1
-            epochs_run += 1
-            if np.mean(epoch_kls) > cfg.target_kl:
-                break
-    return UpdateStats(
-        policy_loss=pl_sum / n_mb,
-        value_loss=vl_sum / n_mb,
-        entropy=ent_sum / n_mb,
-        approx_kl=kl_sum / n_mb,
-        clipfrac=cf_sum / n_mb,
-        grad_norm=gn_sum / n_mb,
-        epochs_run=epochs_run,
-    )
+                stats.append((pg, vl, ent, kl, cf, gn))
+            if np.mean([mb[3] for mb in stats[-len(starts):]]) > cfg.target_kl:
+                break       # the epoch just run went too far
+    # each column summed in minibatch order, from 0.0, as running sums add
+    return UpdateStats(*(reduce(add, column, 0.0) / len(stats) for column in zip(*stats)),
+                       epochs_run=epochs_run)
 
 
 def policy_loss(logits: Tensor, actions: np.ndarray, oldlogp: np.ndarray,

@@ -1,3 +1,4 @@
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -23,6 +24,22 @@ def test_same_spec_generates_identical_levels():
     assert np.array_equal(fresh.walls, a.layout.walls)
     assert (fresh.start, fresh.goal, fresh.cues, fresh.static_hazards, fresh.tracks) == \
         (a.layout.start, a.layout.goal, a.layout.cues, a.layout.static_hazards, a.layout.tracks)
+
+
+# the digest of every generated level of seeds 0-999 per family: a change to
+# level generation, or to numpy's Generator streams, changes it
+LEVELS_DIGEST = "104ab3359d195efcd3019338668401a6f3ec9ee3d7a39bb954c9d757f9dafd66"
+
+
+def test_level_generation_matches_the_pinned_digest():
+    digest = hashlib.sha256()
+    for family in FAMILIES:
+        for seed in range(1000):
+            layout = generate_layout.__wrapped__(LevelSpec(family, seed))
+            digest.update(layout.walls.tobytes())
+            digest.update(repr((layout.start, layout.goal, layout.cues,
+                                layout.static_hazards, layout.tracks)).encode())
+    assert digest.hexdigest() == LEVELS_DIGEST
 
 
 def test_different_seeds_differ():

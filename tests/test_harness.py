@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import os
@@ -16,7 +17,7 @@ from orchestra.errors import ConfigError
 from orchestra.harness import (HopTrainer, MetricsReport, MetricsRow, PnnTrainer,
                                RunConfig, Trainer, aggregate, config_from_flat_dict,
                                config_to_flat_dict, export_metrics,
-                               final_rewards, load_trainer, read_metrics_csv, resume,
+                               final_rewards, load_trainer, resume,
                                run_three_phase, steps_to_return, summarize)
 from orchestra.hop import HopConfig
 from orchestra.ppo import PpoConfig
@@ -221,6 +222,20 @@ def test_final_rewards_and_summary():
 
 
 # --- metrics export -----------------------------------------------------------------
+
+
+def read_metrics_csv(path) -> list[MetricsRow]:
+    """The rows of a metrics.csv that export_metrics wrote."""
+    with open(path, newline="") as f:
+        return [MetricsRow(
+            step=int(rec["step"]),
+            phase=int(rec["phase"]),
+            mean_return=float(rec["mean_return"]),
+            stderr=float(rec["stderr"]),
+            active_checkpoint_count_mean=float(rec["active_checkpoint_count_mean"]),
+            phase1_mean_return=(float(rec["phase1_mean_return"])
+                                if rec["phase1_mean_return"] else None),
+        ) for rec in csv.DictReader(f)]
 
 
 def test_metrics_csv_round_trip_is_exact(tmp_path):

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import multiprocessing
+import operator
 import os
 import re
 import subprocess
@@ -373,6 +375,53 @@ def test_target_kl_stops_at_epoch_boundary():
                        Adam(critic.parameters, cfg.learning_rate),
                        np.random.default_rng(1))
     assert stats.epochs_run == 1
+
+
+def test_update_stats_are_minibatch_means_and_the_kl_stop_reads_one_epoch(monkeypatch):
+    # two minibatches an epoch, reporting KL 0, 0 in epoch 1 and 1, 1 after:
+    # epoch 2's mean passes target_kl, and a mean over every epoch run (0.5)
+    # would not, and would run a third. The reported policy losses sum to 1.0
+    # only in minibatch order (1e16 + 1.0 rounds to 1e16).
+    cfg = tiny_cfg(update_epochs=4, num_minibatches=2, target_kl=0.5)
+    actor, critic, buffer = _collected(cfg)
+    gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda, norm_adv=True)
+    scripted = iter([(1e16, 0.0), (1.0, 0.0), (-1e16, 1.0), (1.0, 1.0)]
+                    + [(0.0, 1.0)] * 4)
+    real_policy, real_value, real_squares = ppo.policy_loss, ppo.value_loss, ppo._squares
+    policy, values, squares = [], [], []
+
+    def policy_loss(*args):
+        loss, (_, ent, _, cf) = real_policy(*args)
+        pg, kl = next(scripted)
+        policy.append((pg, ent, kl, cf))
+        return loss, policy[-1]
+
+    def value_loss(*args):
+        loss, v = real_value(*args)
+        values.append(v)
+        return loss, v
+
+    def recorded_squares(lane):
+        squares.append(real_squares(lane))
+        return squares[-1]
+
+    monkeypatch.setattr(ppo, "policy_loss", policy_loss)
+    monkeypatch.setattr(ppo, "value_loss", value_loss)
+    monkeypatch.setattr(ppo, "_squares", recorded_squares)
+    stats = ppo_update(buffer, gae, actor, critic, cfg,
+                       Adam(actor.parameters, cfg.learning_rate),
+                       Adam(critic.parameters, cfg.learning_rate),
+                       np.random.default_rng(1))
+    assert stats.epochs_run == 2 and len(policy) == len(values) == 4
+    # each minibatch's gradient norm, from both lanes' squares in parameter order
+    norms = [float(np.sqrt(functools.reduce(operator.add,
+                                            [sq for _, sq in sorted(a + b)], 0.0)))
+             for a, b in zip(squares[::2], squares[1::2])]
+    rows = [(pg, vl, ent, kl, cf, gn)
+            for (pg, ent, kl, cf), vl, gn in zip(policy, values, norms)]
+    means = tuple(functools.reduce(operator.add, column, 0.0) / 4 for column in zip(*rows))
+    assert astuple(stats) == (*means, 2)
+    assert stats.policy_loss == 0.25 and stats.approx_kl == 0.5
 
 
 # --- the update's worker thread ---------------------------------------------------
