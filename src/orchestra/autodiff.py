@@ -1,13 +1,14 @@
-"""Reverse-mode accumulation over dense float64 numpy arrays.
+"""Closed-form backward chains over dense float64 numpy arrays.
 
-The tape's nodes are few and hand-differentiated: each network layer and
-loss that the PPO update trains through builds one ``node`` whose backward
-is written in closed form. Graphs are built eagerly per forward pass and
-discarded after backward().
+Each network layer and loss that the PPO update trains through returns a
+``Node``: its value and a ``back(g)`` that does the layer's gradient
+arithmetic in closed form, accumulates into the layer's parameters and
+calls the ``back`` of the one node it was computed from. So every graph is
+a chain, built eagerly per forward pass and dropped after backward().
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,34 +30,23 @@ def aligned_copy(a) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 ndarray plus an optional gradient and backward closure.
+    """A parameter: its own ``aligned_copy`` of its data, updated in place,
+    and the gradient that backward() accumulates into ``grad``."""
 
-    Leaf tensors (parameters) carry ``requires_grad=True`` and accumulate
-    into ``grad`` during backward(). A leaf made or unpickled that way holds
-    its own ``aligned_copy`` of its data; updating it in place keeps it there.
-    Interior nodes hold references to their parents so the tape can be
-    replayed in reverse topological order.
-    """
+    __slots__ = ("data", "grad")
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
-
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = aligned_copy(data) if requires_grad else np.asarray(data, dtype=np.float64)
+    def __init__(self, data):
+        self.data = aligned_copy(data)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
 
-    # pickling keeps only the leaf payload; tapes are never persisted
+    # pickled as (data, True), the payload of a leaf of the older general
+    # graph, so that saved run state keeps its bytes and still loads
     def __getstate__(self):
-        return (self.data, self.requires_grad)
+        return (self.data, True)
 
     def __setstate__(self, state):
-        data, self.requires_grad = state
-        self.data = aligned_copy(data) if self.requires_grad else data
+        self.data = aligned_copy(state[0])
         self.grad = None
-        self._parents = ()
-        self._backward = None
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
@@ -65,15 +55,10 @@ class Tensor:
             self.grad += g
 
 
-def node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    """A tape node whose ``backward(g)`` sends its gradient to ``parents``;
-    off the tape when none of them is on it."""
-    out = Tensor(data)
-    if any(p.requires_grad or p._backward is not None for p in parents):
-        out._parents = tuple(parents)
-        out._backward = backward
-        out.requires_grad = True
-    return out
+class Node(NamedTuple):
+    """A value on a backward chain; ``back(g)`` takes the gradient of ``data``."""
+    data: np.ndarray
+    back: Callable[[np.ndarray], None]
 
 
 def log_softmax_np(logits: np.ndarray) -> np.ndarray:
@@ -91,34 +76,14 @@ def softmax_np(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def backward(root: Tensor, grad: Optional[np.ndarray] = None):
-    """Run reverse-mode accumulation from ``root``: a scalar loss or, given
-    ``grad``, the gradient it receives, a node of any shape."""
+def backward(root: Node, grad: Optional[np.ndarray] = None):
+    """Run ``root``'s chain back: from a scalar loss or, given ``grad``, the
+    gradient it receives, a node of any shape."""
     if grad is None and root.data.size != 1:
-        raise ContractError(
-            f"backward: loss must be scalar, got shape {root.data.shape}"
-        )
+        raise ContractError(f"backward: loss must be scalar, got shape {root.data.shape}")
     if grad is not None and np.shape(grad) != root.data.shape:
         raise ContractError(f"backward: gradient shape {np.shape(grad)} != {root.data.shape}")
-    topo: list[Tensor] = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        t, expanded = stack.pop()
-        if id(t) in seen:
-            continue
-        if expanded:
-            seen.add(id(t))
-            topo.append(t)
-            continue
-        stack.append((t, True))
-        for p in t._parents:
-            if id(p) not in seen and (p._backward is not None or p.requires_grad):
-                stack.append((p, False))
-    root.grad = np.ones_like(root.data) if grad is None else grad
-    for t in reversed(topo):
-        if t._backward is not None and t.grad is not None:
-            t._backward(t.grad)
+    root.back(np.ones_like(root.data) if grad is None else grad)
 
 
 def zero_grads(params: Iterable[Tensor]):

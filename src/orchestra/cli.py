@@ -7,11 +7,11 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .harness import (aggregate, config_from_flat_dict, export_metrics,
-                      load_trainer, resume, run_three_phase, summarize)
+                      load_trainer, read_json, resume, run_three_phase, summarize)
 
 
 def _cmd_train(args):
-    raw = json.loads(Path(args.config).read_text())
+    raw = read_json(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     config = config_from_flat_dict(raw)

@@ -418,7 +418,7 @@ def load_trainer(out_dir) -> Trainer:
     run stopped before its first persist has no state.pkl and starts at
     step 0."""
     out_dir = Path(out_dir)
-    config = config_from_flat_dict(json.loads((out_dir / "config.json").read_text()))
+    config = config_from_flat_dict(read_json(out_dir / "config.json"))
     trainer = Trainer(config, None)     # rebuild, then overwrite mutable state
     trainer.out_dir = out_dir
     state = out_dir / "state.pkl"
@@ -480,7 +480,7 @@ def _check_run_environment(out_dir):
     if not path.exists():
         raise ConfigError(f"{path} is missing, so a resumed run could not be "
                           "checked to be bit-identical")
-    recorded = json.loads(path.read_text())
+    recorded = read_json(path)
     current = run_environment()
     drift = [f"{key}: {recorded.get(key)!r} -> {current.get(key)!r}"
              for key in sorted(set(recorded) | set(current))
@@ -506,6 +506,17 @@ _KINDS = {f.name: getattr(f.type, "__name__", f.type)
 _KINDS.update(batch_size="int", minibatch_size="int")
 _ACCEPTS = {"bool": (bool, np.bool_), "int": (int, np.integer),
             "float": (int, float, np.integer, np.floating), "str": (str,)}
+
+
+def read_json(path) -> dict:
+    """The JSON object in ``path``; ConfigError if it is missing or malformed."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as err:    # ValueError: not JSON, or not UTF-8
+        raise ConfigError(f"cannot read {path}: {err}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} holds a JSON {type(raw).__name__}, not an object")
+    return raw
 
 
 def config_from_flat_dict(raw: dict) -> RunConfig:
@@ -544,8 +555,7 @@ def aggregate(run_dirs: Sequence[str]) -> dict:
     """Cross-seed aggregate of exported run summaries, grouped by algorithm."""
     groups: dict[str, list[dict]] = {}
     for d in run_dirs:
-        with open(Path(d) / "summary.json") as f:
-            s = json.load(f)
+        s = read_json(Path(d) / "summary.json")
         groups.setdefault(s["algorithm"], []).append(s)
     out = {}
     for algo, summaries in sorted(groups.items()):

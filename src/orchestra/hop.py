@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ConfigError, ContractError, require_positive
 from .nn import Adam, Mlp
 from .envs import LevelSpec
@@ -112,7 +111,8 @@ class TrustedStateSet:
     def find_most_similar(self, state: np.ndarray) -> tuple[np.ndarray, float, int]:
         """Best stored match by cosine similarity; ties break to the lowest index.
 
-        Returns (raw stored state, similarity, index).
+        Returns (raw stored state, similarity, index). ``JoinedIndex.scan``
+        does the acting; this is kept as the tests' oracle and a perfbench span.
         """
         if not self.raw:
             raise ContractError("find_most_similar on an empty trusted set")
@@ -335,7 +335,8 @@ class JoinedIndex:
 
 def expand_joined(orchestra: Orchestra, state: np.ndarray, omega: float):
     """Activation bitmask plus flattened ``(k, coeff, state)`` checkpoint
-    terms for one state, each state the stored row itself."""
+    terms for one state, each state the stored row itself; kept as the
+    tests' view of ``JoinedIndex.expand`` and a perfbench span."""
     index = orchestra.joined_index(omega)
     bitmask, terms = index.expand(np.asarray(state)[None, :], len(index))
     return (ActivationVector(bitmask[0]),
@@ -424,22 +425,22 @@ def checkpoint_now(learner: Mlp, orchestra: Orchestra,
     return ckpt
 
 
-def joined_logits(logits: Tensor, routed: Sequence[tuple[np.ndarray, Tensor]],
-                  const: np.ndarray, send: Callable = lambda task: task()) -> Tensor:
+def joined_logits(logits: ad.Node, routed: Sequence[tuple[np.ndarray, ad.Node]],
+                  const: np.ndarray, send: Callable = lambda task: task()) -> ad.Node:
     """``logits + spread @ out``, for each routed ``(spread, out)`` in turn,
-    plus ``const``, as one tape node over ``logits``: its backward sends
-    ``g`` to ``logits`` and, per routed term, the task "backward from ``out``
-    with ``spread.T @ g``" to ``send``, which by default runs it at once."""
+    plus ``const``, as a node over ``logits``. Its ``back`` hands ``send`` one
+    task per routed term, "backward from ``out`` with ``spread.T @ g``" (by
+    default run at once), then sends ``g`` on to ``logits``."""
     data = logits.data
     for spread, out in routed:
         data = data + spread @ out.data
 
-    def backward(g):
-        logits._accumulate(g)
+    def back(g):
         for spread, out in routed:
             send(lambda out=out, spread=spread: ad.backward(out, spread.T @ g))
+        logits.back(g)
 
-    return ad.node(data + const, (logits,), backward)
+    return ad.Node(data + const, back)
 
 
 def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
@@ -453,7 +454,7 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
     every other checkpoint contribution is folded in as a constant. Frozen
     snapshots never change, so their part is the one each act stored. Routed
     gradients need an optimizer on every checkpoint (ContractError). A routed
-    snapshot's backward is not on the policy loss's tape: ``joined_logits``
+    snapshot's backward is not on the policy loss's chain: ``joined_logits``
     queues it as a task, which either of ``ppo_update``'s threads runs.
     """
     M = len(orchestra)
@@ -467,9 +468,9 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
     route_grads = hop_cfg.checkpoint_gradients and not learner_mode
     index = orchestra.joined_index(hop_cfg.min_similarity_score)
 
-    def routed_logits(logits: Tensor, idx: np.ndarray):
+    def routed_logits(logits: ad.Node, idx: np.ndarray):
         """Every term of the minibatch from one forward per checkpoint over
-        its distinct states: on the tape where the stored bitmask routes a
+        its distinct states: a node where the stored bitmask routes a
         gradient into the checkpoint, a constant elsewhere."""
         terms = index.terms(best[idx], bitmask[idx])
         routed = bitmask[idx][terms.row, terms.k - 1].astype(np.int64)
@@ -483,7 +484,7 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
             spread = np.zeros((2, len(idx), len(states)))   # constant, routed coefficients
             np.add.at(spread, (routed[sel], terms.row[sel], at), terms.coeff[sel])
             if routed[sel].any():
-                out = ckpt.actor.forward(Tensor(x))
+                out = ckpt.actor.forward(x)
                 outs.append((spread[1], out))
                 out = out.data
             else:
@@ -492,7 +493,7 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
         return joined_logits(logits, outs, const, tasks.put)
 
     def logits_fn(idx: np.ndarray):
-        logits = learner.forward(Tensor(obs_flat[idx]))
+        logits = learner.forward(obs_flat[idx])
         if learner_mode or M == 0:
             return logits
         if not route_grads:

@@ -18,8 +18,8 @@ class Mlp:
     """A tanh-hidden multilayer perceptron over flat float64 vectors, with
     at least one hidden layer.
 
-    Parameters live as leaf Tensors so one network object serves both the
-    graph-building forward (updates) and the raw-numpy forward (rollouts).
+    Parameters are Tensors so one network serves both the forward that
+    builds a backward chain (updates) and the raw-numpy forward (rollouts).
     Both are ``head`` over the last hidden layer of one numpy body, ``_stack``.
     """
 
@@ -33,9 +33,8 @@ class Mlp:
         for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             gain = OUTPUT_GAIN if i == len(sizes) - 2 else HIDDEN_GAIN
             bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
-                                       requires_grad=True))
-            self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
+            self.weights.append(Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out))))
+            self.biases.append(Tensor(np.zeros(fan_out)))
 
     @property
     def parameters(self) -> list[Tensor]:
@@ -64,16 +63,12 @@ class Mlp:
             acts.append(np.tanh(h, out=h))
         return cols, acts
 
-    def hidden(self, x) -> Tensor:
-        """The last hidden layer of an ndarray, or a Tensor off the tape, of
-        shape (B, in): ``_stack`` as one tape node, bit-identical to hidden_np()."""
-        if isinstance(x, Tensor):
-            if x.requires_grad:
-                raise ContractError("Mlp: the input must not need a gradient")
-            x = x.data
+    def hidden(self, x: np.ndarray) -> ad.Node:
+        """The last hidden layer of a (B, in) array: ``_stack`` as the first
+        node of a chain, bit-identical to hidden_np()."""
         cols, acts = self._stack(x)
 
-        def backward(g):
+        def back(g):
             # the per-layer ops' arithmetic (tanh, add, matmul), so the
             # gradients equal theirs bit for bit
             for i in reversed(range(len(acts) - 1)):
@@ -90,29 +85,28 @@ class Mlp:
                     w._accumulate(acts[i].T @ g)
                     g = g @ w.data.T
 
-        return ad.node(acts[-1], self.parameters[:-2], backward)
+        return ad.Node(acts[-1], back)
 
     def hidden_np(self, x) -> np.ndarray:
         return self._stack(x)[1][-1]
 
     def head(self, h):
-        """The output layer; on the tape for a Tensor, else numpy that refuses non-finite output."""
+        """The output layer; a node over a node, else numpy that refuses non-finite output."""
         w, b = self.weights[-1], self.biases[-1]
-        if isinstance(h, Tensor):
-            def backward(g):
+        if isinstance(h, ad.Node):
+            def back(g):
                 # the order and arithmetic of a matmul and a broadcast add
                 b._accumulate(g.sum(axis=0))
-                if h.requires_grad:
-                    h._accumulate(g @ w.data.T)
                 w._accumulate(h.data.T @ g)
+                h.back(g @ w.data.T)
 
-            return ad.node(h.data @ w.data + b.data, (h, w, b), backward)
+            return ad.Node(h.data @ w.data + b.data, back)
         out = h @ w.data + b.data
         if not np.isfinite(out).all():
             raise ContractError("an Mlp produced non-finite output")
         return out
 
-    def forward(self, x) -> Tensor:
+    def forward(self, x: np.ndarray) -> ad.Node:
         return self.head(self.hidden(x))
 
     def forward_np(self, x) -> np.ndarray:
@@ -130,8 +124,8 @@ class Mlp:
     def clone(self) -> "Mlp":
         dup = Mlp.__new__(Mlp)
         dup.sizes = list(self.sizes)
-        dup.weights = [Tensor(w.data, requires_grad=True) for w in self.weights]
-        dup.biases = [Tensor(b.data, requires_grad=True) for b in self.biases]
+        dup.weights = [Tensor(w.data) for w in self.weights]
+        dup.biases = [Tensor(b.data) for b in self.biases]
         return dup
 
 
@@ -171,6 +165,8 @@ class Adam:
             self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
+        """Step every parameter with a gradient; ``ppo._lanes`` steps the
+        update's, so this is kept as their test reference and a perfbench span."""
         bc1, bc2 = self.bias_correction()
         for i, p in enumerate(self.params):
             if p.grad is not None:
@@ -206,7 +202,8 @@ class Adam:
 
 
 def clip_grad_norm(params: Sequence[Tensor], max_norm: float) -> float:
-    """Scale gradients in place so their joint l2 norm is at most max_norm."""
+    """Scale gradients in place so their joint l2 norm is at most max_norm. The
+    update clips by lane; this is kept as their test reference and a perfbench span."""
     total = 0.0
     for p in params:
         if p.grad is not None:

@@ -71,10 +71,8 @@ class PnnStack:
         new_params: list[Tensor] = []
         for net in ("actor", "critic"):
             for src in range(dst):
-                adp = AdapterParams(
-                    Tensor(np.zeros((self.hidden, self.hidden)), requires_grad=True),
-                    Tensor(np.zeros(self.hidden), requires_grad=True),
-                )
+                adp = AdapterParams(Tensor(np.zeros((self.hidden, self.hidden))),
+                                    Tensor(np.zeros(self.hidden)))
                 self.adapters[(net, src, dst)] = adp
                 new_params.extend(adp.parameters)
         if new_params:
@@ -91,7 +89,8 @@ class PnnStack:
         return ColumnNet(self, self._column(task_id), net)
 
     def forward_with_adapters(self, task_id: str, obs: np.ndarray):
-        """(logits, value) for a batch of observations under the task's column."""
+        """(logits, value) for a batch of observations under the task's column;
+        kept as the tests' reference and perfbench's column probe."""
         return (self.net(task_id, "actor").forward_np(obs),
                 self.net(task_id, "critic").forward_np(obs)[:, 0])
 
@@ -115,22 +114,20 @@ class ColumnNet:
             h = h + (feats @ adp.weight.data + adp.bias.data)
         return h, feeds
 
-    def forward(self, x) -> Tensor:
-        """On the tape; ``x`` is an ndarray or a Tensor off the tape. The
-        adapter sum is one node."""
+    def forward(self, x: np.ndarray) -> ad.Node:
+        """A backward chain; the adapter sum is one node."""
         h = self.mlp.hidden(x)
         if not self.feeds:
             return self.mlp.head(h)
-        data, feeds = self._adapted(h.data, x.data if isinstance(x, Tensor) else x)
+        data, feeds = self._adapted(h.data, x)
 
-        def backward(g):
-            h._accumulate(g)
+        def back(g):
             for feats, adp in feeds:
                 adp.bias._accumulate(g.sum(axis=0))
                 adp.weight._accumulate(feats.T @ g)
+            h.back(g)
 
-        params = [p for _, adp in feeds for p in adp.parameters]
-        return self.mlp.head(ad.node(data, (h, *params), backward))
+        return self.mlp.head(ad.Node(data, back))
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
         return self.mlp.head(self._adapted(self.mlp.hidden_np(x), x)[0])

@@ -20,13 +20,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .blas import openblas_threads
 from .errors import ConfigError, ContractError, require_positive
 from .nn import Adam, Mlp, sample_categorical_batch
 from .envs import EnvInstance, LevelSpec, VecEnv
 
 ADV_EPS = 1e-8
+LOGP_TOL = 1e-9     # largest act-to-update log-prob gap at an update's start
 EVAL_STEP_PENALTY = 0.01
 
 
@@ -205,18 +205,20 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, gae_lambda: float,
 def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
                cfg: PpoConfig, actor_opt: Adam, critic_opt: Adam,
                rng: np.random.Generator,
-               logits_fn: Optional[Callable[[np.ndarray], Tensor]] = None,
+               logits_fn: Optional[Callable[[np.ndarray], ad.Node]] = None,
                extra_opts: Sequence[Adam] = (),
                tasks: Optional[queue.SimpleQueue] = None) -> UpdateStats:
     """Clipped-surrogate update with entropy bonus and target-KL early stop.
 
     The actor and critic are networks with ``Mlp``'s ``forward``.
-    logits_fn(flat_indices) gives the minibatch's logits as a Tensor; it
+    logits_fn(flat_indices) gives the minibatch's logits as a ``Node``; it
     defaults to the actor's forward. The optimizers name what the update
     trains: the parameters of ``actor_opt``, ``critic_opt`` and
     ``extra_opts`` are zeroed, clipped and stepped, in that order. The
     epoch loop stops at an epoch boundary once mean approximate KL exceeds
-    target_kl.
+    target_kl. Before its first step, the update checks that it trains the
+    policy that acted: on the first minibatch, the log-prob of each taken
+    action must be within LOGP_TOL of the stored one (ContractError).
 
     Each minibatch runs as two halves that share no parameter: the policy
     half (logits_fn, surrogate, entropy) and the value half (the critic's
@@ -238,12 +240,12 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
 
     if logits_fn is None:
         def logits_fn(idx):
-            return actor.forward(Tensor(obs_flat[idx]))
+            return actor.forward(obs_flat[idx])
     opts = [actor_opt, critic_opt, *extra_opts]
     params = [p for opt in opts for p in opt.params]
 
     def policy_half(idx):
-        """(policy loss, entropy, approximate KL, clip fraction)."""
+        """(policy loss, entropy, approximate KL, clip fraction, log-prob gap)."""
         loss, stats = policy_loss(logits_fn(idx), act_flat[idx], oldlogp_flat[idx],
                                   adv_flat[idx], cfg)
         ad.backward(loss)
@@ -251,7 +253,7 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
 
     def value_half(idx):
         """The value loss."""
-        loss, v_loss = value_loss(critic.forward(Tensor(obs_flat[idx])), ret_flat[idx],
+        loss, v_loss = value_loss(critic.forward(obs_flat[idx]), ret_flat[idx],
                                   val_flat[idx], cfg)
         ad.backward(loss)
         return v_loss
@@ -280,12 +282,16 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
             for start in starts:
                 idx = perm[start:start + cfg.minibatch_size]
                 ad.zero_grads(params)
-                (pg, ent, kl, cf), vl = _side_by_side(
+                (pg, ent, kl, cf, gap), vl = _side_by_side(
                     worker, *(partial(half, idx) for half in halves))
                 # the joint loss's value, summed as the joint graph summed it
                 if not np.isfinite(pg - cfg.ent_coef * ent + cfg.vf_coef * vl):
                     raise RuntimeError(
                         f"ppo_update aborted: non-finite loss (pg={pg}, v={vl}, ent={ent})")
+                if not stats and gap > LOGP_TOL:
+                    raise ContractError(
+                        f"ppo_update: a taken action's log-prob is {gap:.3g} from the stored "
+                        "one; the update does not train the policy that acted")
                 lanes = _lanes(opts)     # clip_grad_norm(params) and steps, by parameter
                 squares = _side_by_side(worker, *(partial(_squares, lane) for lane in lanes))
                 total = 0.0
@@ -302,14 +308,14 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
                        epochs_run=epochs_run)
 
 
-def policy_loss(logits: Tensor, actions: np.ndarray, oldlogp: np.ndarray,
+def policy_loss(logits: ad.Node, actions: np.ndarray, oldlogp: np.ndarray,
                 adv: np.ndarray, cfg: PpoConfig):
     """The clipped surrogate loss minus ``ent_coef`` times the mean entropy,
-    as one tape node over the (B, A) logits, and (policy loss, entropy,
-    approximate KL, clip fraction). The backward does a per-op tape's
-    arithmetic (log-softmax, pick, ratio, clip, min, entropy) in its order
-    of accumulation, so the gradient keeps that tape's bits. A tie of the
-    two surrogate terms sends the gradient to the unclipped one."""
+    as a node over the (B, A) logits, and (policy loss, entropy, approximate
+    KL, clip fraction, largest ``|newlogp - oldlogp|``). Its ``back`` does a
+    per-op graph's arithmetic (log-softmax, pick, ratio, clip, min, entropy)
+    in its order of accumulation, so the gradient keeps that graph's bits. A
+    tie of the two surrogate terms sends the gradient to the unclipped one."""
     z = logits.data
     if np.isnan(z).any():
         raise ContractError("log_softmax: NaN in logits")
@@ -328,7 +334,7 @@ def policy_loss(logits: Tensor, actions: np.ndarray, oldlogp: np.ndarray,
     probs = np.exp(logp_all)
     entropy = (probs * logp_all).sum(axis=-1).sum() * (1.0 / n) * -1.0
 
-    def backward(g):
+    def back(g):
         g_min = g * -1.0 * (1.0 / n)                 # d/d min(surr1, surr2), per row
         g_ratio = g_min * first * adv
         g_ratio += g_min * ~first * adv * ((ratio > lo) & (ratio < hi))
@@ -339,22 +345,23 @@ def policy_loss(logits: Tensor, actions: np.ndarray, oldlogp: np.ndarray,
         g_logp += g_plogp * logp_all * probs
         g_s = (-g_logp).sum(axis=-1, keepdims=True) / s
         g_logp += g_s * e
-        logits._accumulate(g_logp)
+        logits.back(g_logp)
 
     with np.errstate(all="ignore"):
-        kl = float((oldlogp - newlogp).mean())
+        drift = oldlogp - newlogp
+        kl, gap = float(drift.mean()), float(np.abs(drift).max())
         cf = float((np.abs(ratio - 1.0) > cfg.clip_coef).mean())
-    loss = ad.node(pg_loss - cfg.ent_coef * entropy, (logits,), backward)
-    return loss, (float(pg_loss), float(entropy), kl, cf)
+    return ad.Node(pg_loss - cfg.ent_coef * entropy, back), \
+        (float(pg_loss), float(entropy), kl, cf, gap)
 
 
-def value_loss(values: Tensor, returns: np.ndarray, old_values: np.ndarray,
+def value_loss(values: ad.Node, returns: np.ndarray, old_values: np.ndarray,
                cfg: PpoConfig):
-    """``vf_coef`` times the value loss, as one tape node over the (B, 1)
+    """``vf_coef`` times the value loss, as a node over the (B, 1)
     values, and the value loss: half the mean squared error against
     ``returns``. With ``clip_vloss``, each row takes the larger of that error
     and the one of ``old_values`` plus the change clipped to ±``clip_coef``
-    (a tie takes the first). The backward is built as ``policy_loss``'s."""
+    (a tie takes the first). Its ``back`` is built as ``policy_loss``'s."""
     v = values.data.reshape(-1)
     n = len(v)
     d = v - returns
@@ -368,7 +375,7 @@ def value_loss(values: Tensor, returns: np.ndarray, old_values: np.ndarray,
     else:
         loss = 0.5 * ((d * d).sum() * (1.0 / n))
 
-    def backward(g):
+    def back(g):
         if cfg.clip_vloss:
             g_max = g * cfg.vf_coef * -0.5 * (1.0 / n)
             g_v = g_max * first * -1.0 * 2.0 * d
@@ -376,9 +383,9 @@ def value_loss(values: Tensor, returns: np.ndarray, old_values: np.ndarray,
             g_v += g_d * ((dv > -cc) & (dv < cc))
         else:
             g_v = g * cfg.vf_coef * 0.5 * (1.0 / n) * 2.0 * d
-        values._accumulate(g_v.reshape(values.data.shape))
+        values.back(g_v.reshape(values.data.shape))
 
-    return ad.node(cfg.vf_coef * loss, (values,), backward), float(loss)
+    return ad.Node(cfg.vf_coef * loss, back), float(loss)
 
 
 # --- the update's second thread -------------------------------------------------

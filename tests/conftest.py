@@ -3,6 +3,7 @@ import ctypes
 import numpy as np
 import pytest
 
+from orchestra import autodiff as ad
 from orchestra.autodiff import ALIGN
 from orchestra.blas import openblas_function, openblas_threads
 from orchestra.nn import Adam
@@ -44,6 +45,18 @@ def fd_gradient(loss_fn, params, h: float = 1e-5):
         p.data = base
         grads.append(g)
     return grads
+
+
+def tap(node):
+    """``node`` behind a node that first appends the gradient it gets to a
+    list, and that list."""
+    seen = []
+
+    def back(g):
+        seen.append(g)
+        node.back(g)
+
+    return ad.Node(node.data, back), seen
 
 
 def max_rel_error(analytic, numeric):

@@ -10,15 +10,14 @@ from orchestra.hop import joined_logits
 from orchestra.nn import Mlp
 from orchestra.ppo import PpoConfig, policy_loss, value_loss
 
-from conftest import fd_gradient, max_rel_error
+from conftest import fd_gradient, max_rel_error, tap
 
 
 def test_backward_sum_gives_ones():
     # backward seeds the loss with ones; a node that hands its gradient on
     # broadcast, as a sum does, leaves ones in its leaf
-    p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    ad.backward(ad.node(p.data.sum(), (p,),
-                        lambda g: p._accumulate(np.broadcast_to(g, p.data.shape))))
+    p = Tensor(np.arange(6.0).reshape(2, 3))
+    ad.backward(ad.Node(p.data.sum(), lambda g: p._accumulate(np.broadcast_to(g, p.data.shape))))
     assert np.array_equal(p.grad, np.ones((2, 3)))
 
 
@@ -37,7 +36,7 @@ def test_backward_from_a_node_given_its_gradient(rng):
     grad = rng.normal(size=(4, 3))
     ad.backward(net.forward(x), grad)
     out = twin.forward(x)
-    ad.backward(ad.node((out.data * grad).sum(), (out,), lambda g: out._accumulate(grad)))
+    ad.backward(ad.Node((out.data * grad).sum(), lambda g: out.back(grad)))
     for p, q in zip(net.parameters, twin.parameters, strict=True):
         assert p.grad.tobytes() == q.grad.tobytes()
     with pytest.raises(ContractError, match="gradient shape"):
@@ -59,7 +58,7 @@ def test_linear_regression_gradients_match_finite_differences(rng):
     y = rng.normal(size=5)
 
     def loss():
-        return value_loss(net.head(Tensor(x)), y, None, PpoConfig(vf_coef=1.0))[0]
+        return value_loss(net.head(ad.Node(x, lambda g: None)), y, None, PpoConfig(vf_coef=1.0))[0]
 
     ad.backward(loss())
     head = [net.weights[-1], net.biases[-1]]
@@ -113,11 +112,16 @@ def test_mlp_loss_gradients_match_finite_differences(trial):
         assert max_rel_error([p.grad for p in net.parameters], numeric) < 1e-4
 
 
+def _leaf_node(p):
+    """A node over parameter ``p`` that accumulates its gradient into it."""
+    return ad.Node(p.data, p._accumulate)
+
+
 def test_minimum_clip_pick_and_index_add_gradients(rng):
     # min, clip, pick and the row scatter-add, through the policy loss over
     # routed logits: rows 1 (twice) and 3 take a snapshot's outputs
-    logits = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    out = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    logits = Tensor(rng.normal(size=(4, 3)))
+    out = Tensor(rng.normal(size=(3, 3)))
     spread = np.zeros((4, 3))
     spread[[1, 1, 3], [0, 1, 2]] = rng.random(3) + 0.25
     const = rng.normal(size=(4, 3))
@@ -128,7 +132,8 @@ def test_minimum_clip_pick_and_index_add_gradients(rng):
     cfg = PpoConfig(clip_coef=0.2)
 
     def compute():
-        return policy_loss(joined_logits(logits, [(spread, out)], const), acts, old, adv, cfg)[0]
+        return policy_loss(joined_logits(_leaf_node(logits), [(spread, _leaf_node(out))], const),
+                           acts, old, adv, cfg)[0]
 
     ad.backward(compute())
     for leaf, g in zip((logits, out), fd_gradient(lambda: float(compute().data),
@@ -162,7 +167,7 @@ def test_forward_deterministic(rng):
     a = net.forward_np(x)
     b = net.forward_np(x)
     assert np.array_equal(a, b)
-    assert np.array_equal(a, net.forward(Tensor(x)).data)
+    assert np.array_equal(a, net.forward(x).data)
 
 
 def test_sparse_first_layer_gradient_equals_the_dense_product():
@@ -170,7 +175,7 @@ def test_sparse_first_layer_gradient_equals_the_dense_product():
     net = Mlp([40, 8, 3], rng)
     x = (rng.random((64, 40)) < 0.1).astype(np.float64)
     x[:, [3, 17, 29]] = 0.0                      # cells the batch never sets
-    out = net.forward(x)
+    out, seen = tap(net.forward(x))
     ad.backward(policy_loss(out, rng.integers(0, 3, size=64), rng.normal(size=64) - 1.1,
                             rng.normal(size=64), PpoConfig())[0])
     # the gradient g reaching the first layer's pre-activation, in numpy from
@@ -178,7 +183,7 @@ def test_sparse_first_layer_gradient_equals_the_dense_product():
     cols = np.flatnonzero(x.any(axis=0))
     w0, w1 = net.weights[0].data, net.weights[1].data
     a = np.tanh(x[:, cols] @ w0[cols] + net.biases[0].data)
-    g = (out.grad @ w1.T) * (1.0 - a * a)
+    g = (seen[0] @ w1.T) * (1.0 - a * a)
     dense = x.T @ g
     assert not net.weights[0].grad[[3, 17, 29]].any()
     assert np.array_equal(net.weights[0].grad, dense)

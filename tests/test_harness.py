@@ -661,3 +661,18 @@ def test_cli_refuses_to_resume_under_a_changed_blas(tmp_path, capsys):
     recorded = json.loads((tmp_path / "run_env.json").read_text())
     (tmp_path / "run_env.json").write_text(json.dumps({**recorded, "blas": "otherblas 9.9"}))
     _cli_refuses(["resume", "--out", str(tmp_path)], capsys, "run environment changed")
+
+
+def test_cli_refuses_a_missing_or_malformed_file(tmp_path, capsys):
+    run = str(tmp_path / "run")
+    _cli_refuses(["train", "--config", str(tmp_path / "absent.json"), "--out", run],
+                 capsys, "absent.json")
+    for name, text in (("broken.json", "{\"algorithm\": "), ("list.json", "[1, 2]")):
+        (tmp_path / name).write_text(text)
+        _cli_refuses(["train", "--config", str(tmp_path / name), "--out", run], capsys, name)
+    assert not (tmp_path / "run").exists()
+    # a directory without config.json or summary.json, and a malformed run_env.json
+    _cli_refuses(["export", "--out", str(tmp_path)], capsys, "config.json")
+    _cli_refuses(["aggregate", "--runs", str(tmp_path)], capsys, "summary.json")
+    (tmp_path / "run_env.json").write_text("{")
+    _cli_refuses(["resume", "--out", str(tmp_path)], capsys, "run_env.json")

@@ -392,8 +392,7 @@ def _record_forwards(learner, orch):
             if key is None:
                 log.append(None)
             else:
-                rows = x.data if isinstance(x, ad.Tensor) else np.atleast_2d(x)
-                log.append((key, [r.tobytes() for r in rows]))
+                log.append((key, [r.tobytes() for r in np.atleast_2d(x)]))
             return method(x, *args, **kwargs)
 
         setattr(net, name, recorded)

@@ -10,7 +10,7 @@ from orchestra.nn import Adam, Mlp, sample_categorical_batch
 from orchestra.pnn import PnnStack
 from orchestra.ppo import PpoConfig, policy_loss
 
-from conftest import assert_parameters_stay_aligned
+from conftest import assert_parameters_stay_aligned, tap
 
 
 def sample_categorical(probs, rng) -> int:
@@ -126,7 +126,7 @@ def test_adam_zero_gradient_leaves_parameters_unchanged(rng):
 
 
 def test_adam_descent_direction(rng):
-    p = Tensor(np.zeros(3), requires_grad=True)
+    p = Tensor(np.zeros(3))
     opt = Adam([p], learning_rate=0.01)
     g = np.array([1.0, -2.0, 0.5])
     for _ in range(50):
@@ -136,7 +136,7 @@ def test_adam_descent_direction(rng):
 
 
 def test_adam_single_step_matches_formula(rng):
-    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    p = Tensor(np.array([1.0, 2.0]))
     lr, b1, b2, eps = 0.0005, 0.9, 0.999, 1e-8
     opt = Adam([p], learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
     g = np.array([0.3, -0.7])
@@ -188,11 +188,10 @@ def test_forward_np_matches_forward_on_binary_batches(rows):
     empty = np.zeros((rows, 60))
     for x in (_binary_batch(rng, rows), empty):
         out, hidden = net.forward_np(x), net.hidden_np(x)
-        g_out, g_hidden = net.forward(Tensor(x)), net.hidden(Tensor(x))
+        g_out, g_hidden = net.forward(x), net.hidden(x)
         assert np.array_equal(out, g_out.data)
         assert np.array_equal(hidden, g_hidden.data)
-        assert np.array_equal(out, net.forward(x).data)
-        # the output layer over the hidden layer, on the tape and in numpy
+        # the output layer over the hidden layer, as a node and in numpy
         assert np.array_equal(out, net.head(hidden))
         assert np.array_equal(out, net.head(g_hidden).data)
     # a batch that sets no cell multiplies no column: its output is the biases'
@@ -203,10 +202,10 @@ def test_dense_input_gives_the_plain_product(rng):
     net = Mlp([5, 4, 3], rng)
     x = rng.normal(size=(6, 5))
     assert np.array_equal(net.forward_np(x), _plain_forward(net, x))
-    assert np.array_equal(net.forward(Tensor(x)).data, _plain_forward(net, x))
+    assert np.array_equal(net.forward(x).data, _plain_forward(net, x))
 
 
-# --- the taped stack node -----------------------------------------------------------
+# --- the stack node -----------------------------------------------------------------
 
 
 def _reference_gradients(net, x, g, h=None) -> list:
@@ -245,9 +244,9 @@ def test_forward_gradients_equal_a_per_layer_graph(rows):
     net = Mlp([60, 16, 16, 5], rng)
     for x in (_binary_batch(rng, rows), np.zeros((rows, 60)), rng.normal(size=(rows, 60))):
         ad.zero_grads(net.parameters)
-        out = net.forward(x)
+        out, seen = tap(net.forward(x))
         ad.backward(_surrogate(out, rng))
-        want = _reference_gradients(net, x, out.grad)
+        want = _reference_gradients(net, x, seen[0])
         for p, g in zip(net.parameters, want, strict=True):
             assert np.array_equal(p.grad, g)
 
@@ -263,7 +262,7 @@ def test_pnn_graph_gradients_equal_a_per_layer_graph():
         adapter.weight.data = rng.normal(size=(16, 16))
         adapter.bias.data = rng.normal(size=16)
     x = _binary_batch(rng, 64)
-    out = stack.net("c", "actor").forward(x)
+    out, seen = tap(stack.net("c", "actor").forward(x))
     ad.backward(_surrogate(out, rng))
 
     actor = stack.columns[2].actor
@@ -271,8 +270,8 @@ def test_pnn_graph_gradients_equal_a_per_layer_graph():
     feats = [np.maximum(stack.columns[src].actor.hidden_np(x), 0.0) for src in (0, 1)]
     for f, adapter in zip(feats, adapters):
         h = h + (f @ adapter.weight.data + adapter.bias.data)
-    want = _reference_gradients(actor, x, out.grad, h)
-    g = out.grad @ actor.weights[-1].data.T
+    want = _reference_gradients(actor, x, seen[0], h)
+    g = seen[0] @ actor.weights[-1].data.T
     for f in feats:
         want += [f.T @ g, g.sum(axis=0)]
     params = actor.parameters + [p for adapter in adapters for p in adapter.parameters]
@@ -281,13 +280,12 @@ def test_pnn_graph_gradients_equal_a_per_layer_graph():
     assert all(p.grad is None for c in stack.columns[:2] for p in c.actor.parameters)
 
 
-def test_forward_refuses_an_input_on_the_tape(rng):
+def test_forward_refuses_a_node_as_input(rng):
+    # a network's input is an array: another network's output node would cut
+    # the chain, so numpy refuses to read it as one
     net = Mlp([5, 4, 3], rng)
-    x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
     for forward in (net.forward, net.hidden):
-        with pytest.raises(ContractError):
-            forward(x)
-        with pytest.raises(ContractError):
+        with pytest.raises(ValueError):
             forward(Mlp([3, 4, 5], rng).forward(rng.normal(size=(2, 3))))
 
 
@@ -299,7 +297,7 @@ def test_numpy_output_layer_refuses_a_non_finite_output(rng):
         net.forward_np(x)
     with pytest.raises(ContractError, match="non-finite"):
         net.head(net.hidden_np(x))
-    # on the tape the update's loss check sees it
+    # as a node, the update's loss check sees it
     assert np.isnan(net.forward(x).data[:, 1]).all()
 
 
@@ -334,5 +332,14 @@ def test_unpickled_parameters_are_aligned_copies():
     net = Mlp([10, 7, 3], np.random.default_rng(1))
     restored = pickle.loads(pickle.dumps(net))
     for p, q in zip(net.parameters, restored.parameters):
-        assert np.array_equal(p.data, q.data) and q.requires_grad
+        assert np.array_equal(p.data, q.data) and q.grad is None
     assert_parameters_stay_aligned(restored.parameters)
+
+
+def test_a_parameter_pickles_as_a_leaf_of_the_older_general_graph():
+    # (data, True) under orchestra.autodiff.Tensor, as before the chains, so
+    # saved run state keeps its bytes and older run directories load
+    p = Tensor(np.arange(3.0))
+    _, (cls,), state, *_ = p.__reduce_ex__(4)
+    assert (cls.__module__, cls.__qualname__) == ("orchestra.autodiff", "Tensor")
+    assert state[0] is p.data and state[1] is True and len(state) == 2

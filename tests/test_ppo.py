@@ -15,7 +15,6 @@ import pytest
 
 from orchestra import autodiff as ad
 from orchestra import hop, ppo
-from orchestra.autodiff import Tensor
 from orchestra.envs import EnvInstance, LevelSpec, N_ACTIONS, OBS_DIM, VecEnv
 from orchestra.errors import ContractError
 
@@ -219,16 +218,12 @@ def test_clipped_branch_gradient_matches_hand_computation():
     logits = actor.forward_np(obs[0])
     logp = ad.log_softmax_np(logits)[0]
     action = int(np.argmax(logp))
-    buffer = RolloutBuffer(
-        obs=obs, actions=np.array([[action]]),
-        rewards=np.zeros((1, 1)), dones=np.zeros((1, 1), dtype=bool),
-        logprobs=np.array([[logp[action] - np.log(1.5)]]),  # forces ratio 1.5
-        values=np.zeros((1, 1)), bootstrap=np.zeros(1), aux=[[None]],
-    )
-    gae = GaeOutput(np.ones((1, 1)), np.zeros((1, 1)))
-    ppo_update(buffer, gae, actor, critic, cfg,
-               Adam(actor.parameters, 0.0), Adam(critic.parameters, 0.0),
-               np.random.default_rng(1))
+    # the update refuses a first minibatch this far off the acting policy, so
+    # the policy half runs by hand
+    loss, _ = ppo.policy_loss(actor.forward(obs[0]), np.array([action]),
+                              np.array([logp[action] - np.log(1.5)]),  # forces ratio 1.5
+                              np.ones(1), cfg)
+    ad.backward(loss)
     for p in actor.parameters:
         assert p.grad is None or np.abs(p.grad).max() < 1e-15
 
@@ -283,13 +278,13 @@ def test_actor_gradient_reduces_to_vanilla_policy_gradient():
     obs = buffer.obs.reshape(B, -1)
     acts = buffer.actions.reshape(B)
     adv = gae.advantages.reshape(B)
-    out = actor.forward(Tensor(obs))
+    out = actor.forward(obs)
     # -mean(adv * log p(a)), whose gradient in the logits is adv * (p - onehot) / B
     logp = ad.log_softmax_np(out.data)
     p_minus_onehot = ad.softmax_np(out.data)
     p_minus_onehot[np.arange(B), acts] -= 1.0
-    vanilla = ad.node(-(logp[np.arange(B), acts] * adv).mean(), (out,),
-                      lambda g: out._accumulate(g * p_minus_onehot * adv[:, None] / B))
+    vanilla = ad.Node(-(logp[np.arange(B), acts] * adv).mean(),
+                      lambda g: out.back(g * p_minus_onehot * adv[:, None] / B))
     ad.zero_grads(actor.parameters)
     ad.backward(vanilla)
     for g_s, p in zip(surrogate_grads, actor.parameters):
@@ -364,6 +359,75 @@ def test_nan_loss_with_routed_snapshots_moves_no_optimizer(monkeypatch):
         assert _opt_bits(opts) == before
 
 
+def test_stored_log_probs_off_by_1e_6_stop_the_update_before_any_step(monkeypatch):
+    cfg = tiny_cfg(update_epochs=1)
+    for worker in (True, False):
+        monkeypatch.setattr(ppo, "_worker_fits", lambda: worker)
+        actor, critic, buffer = _collected(cfg)
+        buffer.logprobs += 1e-6
+        gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
+        opts = [Adam(actor.parameters, 1e-3), Adam(critic.parameters, 1e-3)]
+        before = _opt_bits(opts)
+        with pytest.raises(ContractError, match="does not train the policy that acted"):
+            ppo_update(buffer, gae, actor, critic, cfg, *opts, np.random.default_rng(1))
+        assert _opt_bits(opts) == before
+
+
+def test_a_stale_logit_table_stops_a_routed_update():
+    # a snapshot's weights change without an optimizer step, so the joined
+    # index keeps its logit table, and the next rollout acts on the old
+    # weights while the update trains the new ones
+    from test_hop import _hop_rollout, _hop_setup
+    learner, critic, orch, hop_cfg, ppo_cfg = _hop_setup(3)
+    _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg)
+    for c in orch.checkpoints:
+        c.actor.biases[-1].data[0] += 1.0     # action 0's logit
+    buffer = _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg, seed=8)
+    gae = compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda, norm_adv=True)
+    opts = [Adam(learner.parameters, 1e-3), Adam(critic.parameters, 1e-3),
+            *(c.opt for c in orch.checkpoints)]
+    before = _opt_bits(opts)
+    with pytest.raises(ContractError, match="does not train the policy that acted"):
+        masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
+                             opts[0], opts[1], np.random.default_rng(9))
+    assert _opt_bits(opts) == before
+
+
+@pytest.mark.parametrize("algorithm, hop_keys", [
+    ("ppo", {}), ("pnn", {}), ("hop", {"checkpoint_gradients": False}),
+    ("hop", {"checkpoint_gradients": True}), ("hop", {"attributes": "learner"})],
+    ids=["ppo", "pnn", "hop", "hop-routed", "hop-learner"])
+def test_tiny_runs_train_the_policy_that_acted(algorithm, hop_keys, monkeypatch):
+    # every update checks its first minibatch; record the gap each one saw
+    from orchestra import harness, pnn
+    from test_harness import tiny_run_config
+    real_loss, real_update, gaps, firsts = ppo.policy_loss, ppo.ppo_update, [], []
+
+    def policy_loss(*args):
+        loss, stats = real_loss(*args)
+        gaps.append(stats[-1])
+        return loss, stats
+
+    def ppo_update(*args, **kwargs):
+        gaps.clear()
+        stats = real_update(*args, **kwargs)
+        firsts.append(gaps[0])
+        return stats
+
+    monkeypatch.setattr(ppo, "policy_loss", policy_loss)
+    for module in (harness, hop, pnn):
+        monkeypatch.setattr(module, "ppo_update", ppo_update)
+    cfg = tiny_run_config(algorithm)
+    cfg.hop.reward_limit = -100.0       # every checkpoint attempt succeeds
+    for key, value in hop_keys.items():
+        setattr(cfg.hop, key, value)
+    trainer = harness.Trainer(cfg)
+    trainer.run()
+    assert len(firsts) == 6 and max(firsts) <= ppo.LOGP_TOL
+    if algorithm == "hop":      # the later updates ran over snapshots
+        assert len(trainer.orchestra) >= 2
+
+
 def test_target_kl_stops_at_epoch_boundary():
     # epoch-1 minibatch KL is exactly 0 (ratio 1), which already exceeds a
     # negative threshold, so the loop stops after exactly one full epoch
@@ -391,10 +455,10 @@ def test_update_stats_are_minibatch_means_and_the_kl_stop_reads_one_epoch(monkey
     policy, values, squares = [], [], []
 
     def policy_loss(*args):
-        loss, (_, ent, _, cf) = real_policy(*args)
+        loss, (_, ent, _, cf, gap) = real_policy(*args)
         pg, kl = next(scripted)
         policy.append((pg, ent, kl, cf))
-        return loss, policy[-1]
+        return loss, (*policy[-1], gap)
 
     def value_loss(*args):
         loss, v = real_value(*args)
@@ -677,7 +741,7 @@ def test_the_lanes_give_clip_grad_norms_bits(monkeypatch, one_blas_thread):
     opts = [Adam(learner.parameters, 1e-3), Adam(critic.parameters, 1e-3),
             *(c.opt for c in orch.checkpoints)]
     params = [p for opt in opts for p in opt.params]
-    twins = [Tensor(p.data) for p in params]
+    twins = [ad.Tensor(p.data) for p in params]
     lanes = ppo._lanes
     oracle = []
 
@@ -721,12 +785,12 @@ def test_split_backward_equals_the_joint_loss_backward(monkeypatch, one_blas_thr
                               buffer.values.reshape(B)[idx], cfg)
     twin_params = twins[0].parameters + twins[1].parameters
 
-    def joint_backward(g):
+    def joint_back(g):
         """The joint loss, policy + value, sends its gradient to both."""
-        policy._accumulate(g)
-        value._accumulate(g)
+        policy.back(g)
+        value.back(g)
 
-    ad.backward(ad.node(policy.data + value.data, (policy, value), joint_backward))
+    ad.backward(ad.Node(policy.data + value.data, joint_back))
     clip_grad_norm(twin_params, cfg.max_grad_norm)
     for p, twin in zip(actor.parameters + critic.parameters, twin_params, strict=True):
         assert p.grad.tobytes() == twin.grad.tobytes()
