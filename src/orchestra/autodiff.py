@@ -31,13 +31,17 @@ def aligned_copy(a) -> np.ndarray:
 
 class Tensor:
     """A parameter: its own ``aligned_copy`` of its data, updated in place,
-    and the gradient that backward() accumulates into ``grad``."""
+    and the gradient that backward() accumulates into ``grad``. ``grad`` is
+    None until the first accumulation after zero_grads(), and then an array
+    that the parameter keeps from one minibatch to the next, until
+    release_grads()."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "grad", "_grad_array")
 
     def __init__(self, data):
         self.data = aligned_copy(data)
         self.grad: Optional[np.ndarray] = None
+        self._grad_array: Optional[np.ndarray] = None
 
     # pickled as (data, True), the payload of a leaf of the older general
     # graph, so that saved run state keeps its bytes and still loads
@@ -45,14 +49,27 @@ class Tensor:
         return (self.data, True)
 
     def __setstate__(self, state):
-        self.data = aligned_copy(state[0])
-        self.grad = None
+        self.__init__(state[0])
+
+    def _first_grad(self) -> np.ndarray:
+        """Make ``grad`` the kept gradient array, its contents stale, and return it."""
+        if self._grad_array is None:
+            self._grad_array = np.empty_like(self.data)
+        self.grad = self._grad_array
+        return self.grad
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            np.copyto(self._first_grad(), g)
         else:
             self.grad += g
+
+    def _accumulate_matmul(self, a: np.ndarray, b: np.ndarray):
+        """``_accumulate(a @ b)``; a first product goes straight into ``grad``."""
+        if self.grad is None:
+            np.matmul(a, b, out=self._first_grad())
+        else:
+            self.grad += a @ b
 
 
 class Node(NamedTuple):
@@ -87,5 +104,12 @@ def backward(root: Node, grad: Optional[np.ndarray] = None):
 
 
 def zero_grads(params: Iterable[Tensor]):
+    """Mark every gradient empty; each parameter keeps its array for the next."""
     for p in params:
         p.grad = None
+
+
+def release_grads(params: Iterable[Tensor]):
+    """Let each parameter's kept gradient array go once its gradient does."""
+    for p in params:
+        p._grad_array = None

@@ -416,7 +416,7 @@ def run_three_phase(config: RunConfig, out_dir: Optional[str] = None) -> Metrics
 def load_trainer(out_dir) -> Trainer:
     """Rebuild a run's Trainer from its config.json and last state.pkl; a
     run stopped before its first persist has no state.pkl and starts at
-    step 0."""
+    step 0. A state.pkl that is cut short raises ConfigError."""
     out_dir = Path(out_dir)
     config = config_from_flat_dict(read_json(out_dir / "config.json"))
     trainer = Trainer(config, None)     # rebuild, then overwrite mutable state
@@ -424,7 +424,10 @@ def load_trainer(out_dir) -> Trainer:
     state = out_dir / "state.pkl"
     if state.exists():
         with open(state, "rb") as f:
-            vars(trainer).update(pickle.load(f))
+            try:
+                vars(trainer).update(pickle.load(f))
+            except (pickle.UnpicklingError, EOFError) as err:
+                raise ConfigError(f"{state} cannot be read: {err}") from err
     return trainer
 
 

@@ -504,8 +504,11 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
     if None in extra_opts:
         raise ContractError("routed checkpoint gradients need an optimizer on every checkpoint")
     tasks = queue.SimpleQueue() if extra_opts else None
-    return ppo_update(buffer, gae, learner, critic, ppo_cfg, actor_opt, critic_opt, rng,
-                      logits_fn=logits_fn, extra_opts=extra_opts, tasks=tasks)
+    stats = ppo_update(buffer, gae, learner, critic, ppo_cfg, actor_opt, critic_opt, rng,
+                       logits_fn=logits_fn, extra_opts=extra_opts, tasks=tasks)
+    for ckpt in orchestra.checkpoints:
+        ckpt.actor.free_buffers()
+    return stats
 
 
 # --- on-disk checkpoint bundles ----------------------------------------------

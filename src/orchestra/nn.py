@@ -15,12 +15,20 @@ OUTPUT_GAIN = 0.01
 
 
 class Mlp:
-    """A tanh-hidden multilayer perceptron over flat float64 vectors, with
-    at least one hidden layer.
+    """A tanh-hidden multilayer perceptron over flat vectors, with at least
+    one hidden layer.
 
     Parameters are Tensors so one network serves both the forward that
     builds a backward chain (updates) and the raw-numpy forward (rollouts).
     Both are ``head`` over the last hidden layer of one numpy body, ``_stack``.
+
+    The update's forward, ``hidden``, and its chain write every batch-sized
+    array into this network's buffers (``_buffer``), which grow to the
+    largest batch seen and are reused from one call to the next until
+    ``free_buffers``: a node of ``hidden`` stays valid until this network's
+    next ``hidden`` call, and one network is trained by one thread at a
+    time. The buffers are never pickled, and a clone or an unpickled copy
+    starts without them.
     """
 
     def __init__(self, sizes: Sequence[int], rng: np.random.Generator):
@@ -35,57 +43,106 @@ class Mlp:
             bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
             self.weights.append(Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out))))
             self.biases.append(Tensor(np.zeros(fan_out)))
+        self.free_buffers()
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_buffers"}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)      # interns the names, as pickle's default does
+        self.free_buffers()
 
     @property
     def parameters(self) -> list[Tensor]:
         return [p for layer in zip(self.weights, self.biases) for p in layer]
 
-    def _stack(self, x) -> tuple[np.ndarray, list[np.ndarray]]:
+    def free_buffers(self):
+        """Let the buffers go; the next ``hidden`` call makes them again."""
+        self._buffers = {}
+
+    def _buffer(self, slot, shape, capacity: int) -> np.ndarray:
+        """A C-contiguous float64 array of ``shape`` on the first elements of
+        buffer ``slot``, which first grows to ``capacity`` elements."""
+        buf = self._buffers.get(slot)
+        if buf is None or buf.size < capacity:
+            buf = self._buffers[slot] = np.empty(capacity)
+        return buf[:np.prod(shape, dtype=int)].reshape(shape)
+
+    def _stack(self, x, buffered: bool = False) -> tuple[np.ndarray, list[np.ndarray]]:
         """Every layer but the output layer, in numpy: (cols, activations).
 
         The first layer multiplies only the input columns the batch sets,
         ``x[:, cols] @ W0[cols]``: MiniProc observations set about 21 of 405
         cells. Skipping the zero terms changes the rounding of the sum, so a
         row's output depends, by rounding, on the other rows of its batch.
-        The activations are ``x[:, cols]`` and each layer's tanh output.
+        ``cols`` is found on the input's own dtype, and only ``x[:, cols]``
+        is made float64. The activations are ``x[:, cols]`` and each layer's
+        tanh output; ``buffered``, they and ``W0[cols]`` are written into
+        the network's buffers, else allocated.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = np.atleast_2d(np.asarray(x))
         if x.shape[-1] != self.sizes[0]:
             raise DimensionError(
                 f"layer 0 expects input width {self.sizes[0]}, got {x.shape[-1]}"
             )
         cols = np.flatnonzero(x.any(axis=0))   # the columns some row sets
-        acts = [x[:, cols]]
-        for i in range(len(self.weights) - 1):
-            w = self.weights[i].data
-            h = acts[-1] @ (w[cols] if i == 0 else w)
+        if not buffered:
+            acts = [x[:, cols].astype(np.float64, copy=False)]
+            for i in range(len(self.weights) - 1):
+                w = self.weights[i].data
+                h = acts[-1] @ (w[cols] if i == 0 else w)
+                h += self.biases[i].data
+                acts.append(np.tanh(h, out=h))
+            return cols, acts
+        n, (width, fan_out) = len(x), self.weights[0].data.shape
+        acts = [self._buffer("x", (n, len(cols)), n * width)]
+        np.copyto(acts[0], x[:, cols])
+        w0 = np.take(self.weights[0].data, cols, axis=0, mode="clip",
+                     out=self._buffer("w0", (len(cols), fan_out), width * fan_out))
+        for i, w in enumerate([w0] + [p.data for p in self.weights[1:-1]]):
+            h = np.matmul(acts[-1], w, out=self._buffer(i, (n, w.shape[1]), n * w.shape[1]))
             h += self.biases[i].data
             acts.append(np.tanh(h, out=h))
         return cols, acts
 
     def hidden(self, x: np.ndarray) -> ad.Node:
-        """The last hidden layer of a (B, in) array: ``_stack`` as the first
-        node of a chain, bit-identical to hidden_np()."""
-        cols, acts = self._stack(x)
+        """The last hidden layer of a (B, in) array: ``_stack`` into the
+        network's buffers as the first node of a chain, bit-identical to
+        hidden_np(). Valid until this network's next ``hidden`` call."""
+        cols, acts = self._stack(x, buffered=True)
 
         def back(g):
             # the per-layer ops' arithmetic (tanh, add, matmul), so the
-            # gradients equal theirs bit for bit
+            # gradients equal theirs bit for bit; each activation, once read,
+            # takes its layer's g * (1 - a*a)
             for i in reversed(range(len(acts) - 1)):
                 w, b = self.weights[i], self.biases[i]
-                d = acts[i + 1] * acts[i + 1]
+                d = acts[i + 1]
+                np.multiply(d, d, out=d)
                 np.subtract(1.0, d, out=d)
-                g = np.multiply(g, d, out=d)     # g * (1 - a*a), in one buffer
+                g = np.multiply(g, d, out=d)
                 b._accumulate(g.sum(axis=0))
                 if i == 0:
+                    # w.grad[cols] += acts[0].T @ g, in the buffers of W0[cols]
+                    # and of g, which hold nothing this back still reads
                     if w.grad is None:
-                        w.grad = np.zeros_like(w.data)
-                    w.grad[cols] += acts[0].T @ g
+                        w._first_grad().fill(0.0)
+                    shape, capacity = (len(cols), g.shape[1]), w.data.size
+                    rows = np.take(w.grad, cols, axis=0, mode="clip",
+                                   out=self._buffer("w0", shape, capacity))
+                    rows += np.matmul(acts[0].T, g, out=self._buffer("g", shape, capacity))
+                    w.grad[cols] = rows
                 else:
-                    w._accumulate(acts[i].T @ g)
-                    g = g @ w.data.T
+                    w._accumulate_matmul(acts[i].T, g)
+                    g = np.matmul(g, w.data.T, out=self._g_buffer(len(g), len(w.data)))
 
         return ad.Node(acts[-1], back)
+
+    def _g_buffer(self, rows: int, width: int) -> np.ndarray:
+        """Where ``head``'s and ``hidden``'s chains put the gradient of a
+        hidden layer."""
+        return self._buffer("g", (rows, width), rows * max(self.sizes[1:-1]))
 
     def hidden_np(self, x) -> np.ndarray:
         return self._stack(x)[1][-1]
@@ -97,8 +154,8 @@ class Mlp:
             def back(g):
                 # the order and arithmetic of a matmul and a broadcast add
                 b._accumulate(g.sum(axis=0))
-                w._accumulate(h.data.T @ g)
-                h.back(g @ w.data.T)
+                w._accumulate_matmul(h.data.T, g)
+                h.back(np.matmul(g, w.data.T, out=self._g_buffer(len(g), len(w.data))))
 
             return ad.Node(h.data @ w.data + b.data, back)
         out = h @ w.data + b.data
@@ -126,6 +183,7 @@ class Mlp:
         dup.sizes = list(self.sizes)
         dup.weights = [Tensor(w.data) for w in self.weights]
         dup.biases = [Tensor(b.data) for b in self.biases]
+        dup.free_buffers()
         return dup
 
 

@@ -132,6 +132,9 @@ class ColumnNet:
     def forward_np(self, x: np.ndarray) -> np.ndarray:
         return self.mlp.head(self._adapted(self.mlp.hidden_np(x), x)[0])
 
+    def free_buffers(self):
+        self.mlp.free_buffers()
+
 
 class ColumnSource(LearnerSource):
     """Acts with the task's actor column and its adapters."""

@@ -86,7 +86,7 @@ class PpoConfig:
 
 @dataclass
 class RolloutBuffer:
-    obs: np.ndarray        # (T, N, obs_dim)
+    obs: np.ndarray        # (T, N, obs_dim) uint8
     actions: np.ndarray    # (T, N) int
     rewards: np.ndarray    # (T, N)
     dones: np.ndarray      # (T, N) bool, episode ended at this step
@@ -157,10 +157,14 @@ class LearnerSource(ActionSource):
 def collect_rollout(source: ActionSource, vecenv: VecEnv,
                     value_fn: Callable[[np.ndarray], np.ndarray],
                     cfg: PpoConfig, rng: np.random.Generator) -> RolloutBuffer:
-    """T steps of every env; ``value_fn`` maps (N, obs_dim) observations to (N, 1)."""
+    """T steps of every env; ``value_fn`` maps (N, obs_dim) observations to (N, 1).
+
+    The buffer stores the observations as ``uint8``, the binary cells they
+    are; an observation that does not round-trip raises ContractError.
+    """
     T, N = cfg.num_steps, vecenv.num_envs
     cur = vecenv.observations()
-    obs = np.empty((T, N, cur.shape[1]))
+    obs = np.empty((T, N, cur.shape[1]), dtype=np.uint8)
     actions = np.empty((T, N), dtype=np.int64)
     rewards = np.empty((T, N))
     dones = np.empty((T, N), dtype=bool)
@@ -169,6 +173,8 @@ def collect_rollout(source: ActionSource, vecenv: VecEnv,
     aux: list = []
     for t in range(T):
         obs[t] = cur
+        if not (obs[t] == cur).all():
+            raise ContractError("collect_rollout: an observation does not round-trip as uint8")
         a, lp, ax = source.act(cur, rng)
         actions[t] = a
         logprobs[t] = lp
@@ -210,7 +216,9 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
                tasks: Optional[queue.SimpleQueue] = None) -> UpdateStats:
     """Clipped-surrogate update with entropy bonus and target-KL early stop.
 
-    The actor and critic are networks with ``Mlp``'s ``forward``.
+    The actor and critic are networks with ``Mlp``'s ``forward`` and
+    ``free_buffers``. Their buffers, and the gradient arrays the trained
+    parameters keep, are let go when the update returns.
     logits_fn(flat_indices) gives the minibatch's logits as a ``Node``; it
     defaults to the actor's forward. The optimizers name what the update
     trains: the parameters of ``actor_opt``, ``critic_opt`` and
@@ -303,6 +311,9 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
                 stats.append((pg, vl, ent, kl, cf, gn))
             if np.mean([mb[3] for mb in stats[-len(starts):]]) > cfg.target_kl:
                 break       # the epoch just run went too far
+    actor.free_buffers()
+    critic.free_buffers()
+    ad.release_grads(params)
     # each column summed in minibatch order, from 0.0, as running sums add
     return UpdateStats(*(reduce(add, column, 0.0) / len(stats) for column in zip(*stats)),
                        epochs_run=epochs_run)

@@ -663,6 +663,14 @@ def test_cli_refuses_to_resume_under_a_changed_blas(tmp_path, capsys):
     _cli_refuses(["resume", "--out", str(tmp_path)], capsys, "run environment changed")
 
 
+def test_cli_refuses_a_truncated_state(tmp_path, capsys):
+    Trainer(tiny_run_config(), tmp_path).run(max_iterations=1)
+    state = tmp_path / "state.pkl"
+    state.write_bytes(state.read_bytes()[:100])
+    for command in ("resume", "export"):
+        _cli_refuses([command, "--out", str(tmp_path)], capsys, str(state))
+
+
 def test_cli_refuses_a_missing_or_malformed_file(tmp_path, capsys):
     run = str(tmp_path / "run")
     _cli_refuses(["train", "--config", str(tmp_path / "absent.json"), "--out", run],

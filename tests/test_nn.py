@@ -205,6 +205,54 @@ def test_dense_input_gives_the_plain_product(rng):
     assert np.array_equal(net.forward(x).data, _plain_forward(net, x))
 
 
+def test_binary_input_of_any_dtype_gives_the_same_bits(rng):
+    net = Mlp([60, 16, 16, 5], rng)
+    x = _binary_batch(rng, 32)
+    want = net.forward_np(x)
+    for dtype in (np.uint8, bool, np.int64):
+        assert net.forward_np(x.astype(dtype)).tobytes() == want.tobytes()
+        assert net.forward(x.astype(dtype)).data.tobytes() == want.tobytes()
+
+
+def _trained_arrays(net, x) -> list:
+    """The buffers and gradients of one forward and backward of ``net``."""
+    ad.zero_grads(net.parameters)
+    ad.backward(net.forward(x), np.ones((len(x), net.sizes[-1])))
+    return [*net._buffers.values(), *(p.grad for p in net.parameters)]
+
+
+def test_no_two_networks_share_a_buffer(rng):
+    net = Mlp([60, 16, 16, 5], rng)
+    x = _binary_batch(rng, 32)
+    state = pickle.dumps(net)
+    _trained_arrays(net, x)
+    assert pickle.dumps(net) == state        # the buffers are never pickled
+    nets = [net, net.clone(), pickle.loads(state), Mlp([60, 16, 16, 5], rng)]
+    assert all(other._buffers == {} for other in nets[1:])
+    arrays = [_trained_arrays(n, x) for n in nets]
+    for i, mine in enumerate(arrays):
+        for theirs in arrays[i + 1:]:
+            assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+
+def test_an_unpickled_network_pickles_as_its_clone(rng):
+    # as pickle's default restore, so a resumed run writes the state.pkl bytes
+    # that it wrote before networks had buffers
+    net = Mlp([60, 16, 16, 5], rng)
+    assert pickle.dumps([net, pickle.loads(pickle.dumps(net))]) == pickle.dumps([net, net.clone()])
+
+
+def test_a_network_reuses_its_buffers_and_gradients(rng):
+    net = Mlp([60, 16, 16, 5], rng)
+    first = _trained_arrays(net, _binary_batch(rng, 32))
+    again = _trained_arrays(net, _binary_batch(rng, 32))
+    assert all(np.shares_memory(a, b) for a, b in zip(first, again))
+    net.free_buffers()
+    ad.release_grads(net.parameters)
+    fresh = _trained_arrays(net, _binary_batch(rng, 32))
+    assert not any(np.shares_memory(a, b) for a in first for b in fresh)
+
+
 # --- the stack node -----------------------------------------------------------------
 
 

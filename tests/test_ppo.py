@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -61,6 +62,45 @@ def test_rollout_deterministic_and_sized():
     assert a.num_steps * a.num_envs == cfg.batch_size
     for field in ("obs", "actions", "rewards", "dones", "logprobs", "values"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def _recorded_observations(monkeypatch, vec, cell=None) -> list:
+    """Record every batch of observations ``vec`` builds from here on, each
+    with ``cell`` at row 0, column 5 when given."""
+    built, observations = [], vec.observations
+
+    def recorded():
+        obs = observations()
+        if cell is not None:
+            obs[0, 5] = cell
+        built.append(obs)
+        return obs
+
+    monkeypatch.setattr(vec, "observations", recorded)
+    return built
+
+
+def test_the_rollout_stores_the_observations_the_env_built_as_uint8(monkeypatch):
+    cfg = tiny_cfg()
+    actor, critic = make_nets()
+    vec = fresh_vec(cfg)
+    built = _recorded_observations(monkeypatch, vec)
+    buffer = collect_rollout(LearnerSource(actor), vec, critic.forward_np, cfg,
+                             np.random.default_rng(17))
+    assert buffer.obs.dtype == np.uint8 and built[0].dtype == np.float64
+    # every stored step, as float64, has the bits of what the env built
+    assert buffer.obs.astype(np.float64).tobytes() == np.stack(built[:-1]).tobytes()
+
+
+def test_an_observation_that_is_not_a_byte_stops_the_rollout(monkeypatch):
+    cfg = tiny_cfg()
+    actor, critic = make_nets()
+    for cell in (0.5, -1.0, 256.0):
+        vec = fresh_vec(cfg)
+        _recorded_observations(monkeypatch, vec, cell)
+        with pytest.raises(ContractError, match="does not round-trip as uint8"):
+            collect_rollout(LearnerSource(actor), vec, critic.forward_np, cfg,
+                            np.random.default_rng(17))
 
 
 def _count_observations(monkeypatch) -> list:
@@ -161,10 +201,13 @@ def test_gae_monte_carlo_limit_hand_fixture():
 
 def _collected(cfg, seed=0):
     actor, critic = make_nets(seed)
-    vec = fresh_vec(cfg)
-    buffer = collect_rollout(LearnerSource(actor), vec, critic.forward_np, cfg,
-                             np.random.default_rng(17))
-    return actor, critic, buffer
+    return actor, critic, _rollout(actor, critic, cfg)
+
+
+def _rollout(actor, critic, cfg, seed=17):
+    """A rollout that ``actor`` acts in, so an update on it trains the policy that acted."""
+    return collect_rollout(LearnerSource(actor), fresh_vec(cfg), critic.forward_np, cfg,
+                           np.random.default_rng(seed))
 
 
 def test_update_with_ratio_one_reports_plain_surrogate_and_moves_params():
@@ -308,6 +351,9 @@ def test_nan_loss_aborts_with_diagnostic(monkeypatch):
         gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
         opts = [Adam(actor.parameters, 1e-3), Adam(critic.parameters, 1e-3)]
         ppo_update(buffer, gae, actor, critic, cfg, *opts, np.random.default_rng(1))
+        # a rollout of the stepped actor, so that the update is only non-finite
+        buffer = _rollout(actor, critic, cfg, seed=18)
+        gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
         before = _opt_bits(opts)
         getattr(gae, term)[:] = np.nan
         with pytest.raises(RuntimeError, match="non-finite loss"):
@@ -352,6 +398,9 @@ def test_nan_loss_with_routed_snapshots_moves_no_optimizer(monkeypatch):
 
         update()
         assert all(opt.step_count > 0 for opt in opts)
+        # a rollout of the stepped networks, so that the update is only non-finite
+        buffer = _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg, seed=8)
+        gae = compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda)
         before = _opt_bits(opts)
         getattr(gae, term)[:] = np.nan
         with pytest.raises(RuntimeError, match="non-finite loss"):
@@ -805,6 +854,42 @@ def test_the_update_runs_inline_unless_one_blas_thread_and_two_cpus(monkeypatch)
             assert (worker is None) == inline
 
 
+def test_the_halves_allocate_no_batch_sized_array_after_the_first_minibatch(monkeypatch):
+    # desk geometry: 512-row minibatches through 405-256-256 networks, with
+    # both halves inline so that tracemalloc sees one at a time
+    monkeypatch.setattr(ppo, "_worker_fits", lambda: False)
+    cfg = tiny_cfg(num_steps=64, num_envs=16, num_minibatches=2, target_kl=np.inf)
+    rng = np.random.default_rng(4)
+    actor = Mlp([OBS_DIM, 256, 256, N_ACTIONS], rng)
+    critic = Mlp([OBS_DIM, 256, 256, 1], rng)
+    buffer = collect_rollout(LearnerSource(actor), VecEnv([LevelSpec("runner", 1)], 16, 50),
+                             critic.forward_np, cfg, np.random.default_rng(17))
+    gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda, norm_adv=True)
+    side_by_side, peaks = ppo._side_by_side, []
+
+    def traced(worker, main_call, worker_call):
+        if main_call.func in (ppo._squares, ppo._step_lane):
+            return side_by_side(worker, main_call, worker_call)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        halves = side_by_side(worker, main_call, worker_call)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return halves
+
+    monkeypatch.setattr(ppo, "_side_by_side", traced)
+    tracemalloc.start()
+    try:
+        ppo_update(buffer, gae, actor, critic, cfg, Adam(actor.parameters, 1e-3),
+                   Adam(critic.parameters, 1e-3), np.random.default_rng(1))
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 4
+    assert max(peaks[1:]) < cfg.minibatch_size * 256 * 8 < peaks[0]
+    # the buffers and kept gradient arrays live for one update
+    assert actor._buffers == critic._buffers == {}
+    assert all(p._grad_array is None for p in actor.parameters + critic.parameters)
+
+
 def _update_threads() -> list[str]:
     return [t.name for t in threading.enumerate() if t.name.startswith("ppo-update")]
 
@@ -825,6 +910,9 @@ def test_no_worker_thread_outlives_its_update(monkeypatch):
     opts = [Adam(actor.parameters, 1e-3), Adam(critic.parameters, 1e-3)]
     ppo_update(buffer, gae, actor, critic, cfg, *opts, np.random.default_rng(1))
     assert seen and not _update_threads()
+    # a rollout of the stepped actor, so that the update is only non-finite
+    buffer = _rollout(actor, critic, cfg, seed=18)
+    gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
     gae.returns[:] = np.nan
     with pytest.raises(RuntimeError, match="non-finite loss"):
         ppo_update(buffer, gae, actor, critic, cfg, *opts, np.random.default_rng(1))
