@@ -33,8 +33,8 @@ class Tensor:
     """A parameter: its own ``aligned_copy`` of its data, updated in place,
     and the gradient that backward() accumulates into ``grad``. ``grad`` is
     None until the first accumulation after zero_grads(), and then an array
-    that the parameter keeps from one minibatch to the next, until
-    release_grads()."""
+    that the parameter keeps from one minibatch and update to the next,
+    until release_grads()."""
 
     __slots__ = ("data", "grad", "_grad_array")
 

@@ -504,11 +504,14 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
     if None in extra_opts:
         raise ContractError("routed checkpoint gradients need an optimizer on every checkpoint")
     tasks = queue.SimpleQueue() if extra_opts else None
-    stats = ppo_update(buffer, gae, learner, critic, ppo_cfg, actor_opt, critic_opt, rng,
-                       logits_fn=logits_fn, extra_opts=extra_opts, tasks=tasks)
-    for ckpt in orchestra.checkpoints:
-        ckpt.actor.free_buffers()
-    return stats
+    try:
+        return ppo_update(buffer, gae, learner, critic, ppo_cfg, actor_opt, critic_opt, rng,
+                          logits_fn=logits_fn, extra_opts=extra_opts, tasks=tasks)
+    finally:
+        # the snapshots an update routes into change from one update to the
+        # next; the next makes what it needs, so none piles up
+        for ckpt in orchestra.checkpoints:
+            ckpt.actor.free_buffers()
 
 
 # --- on-disk checkpoint bundles ----------------------------------------------

@@ -24,11 +24,12 @@ class Mlp:
 
     The update's forward, ``hidden``, and its chain write every batch-sized
     array into this network's buffers (``_buffer``), which grow to the
-    largest batch seen and are reused from one call to the next until
-    ``free_buffers``: a node of ``hidden`` stays valid until this network's
-    next ``hidden`` call, and one network is trained by one thread at a
-    time. The buffers are never pickled, and a clone or an unpickled copy
-    starts without them.
+    largest batch seen and are reused from one call to the next, across
+    updates, until ``free_buffers``: a node of ``hidden`` stays valid until
+    this network's next ``hidden`` call, and one network is trained by one
+    thread at a time. The buffers are never pickled, and a clone or an
+    unpickled copy starts without them. Its parameters keep their gradient
+    arrays for as long (``autodiff.Tensor``).
     """
 
     def __init__(self, sizes: Sequence[int], rng: np.random.Generator):
@@ -43,30 +44,27 @@ class Mlp:
             bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
             self.weights.append(Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out))))
             self.biases.append(Tensor(np.zeros(fan_out)))
-        self.free_buffers()
 
     def __getstate__(self):
         return {k: v for k, v in vars(self).items() if k != "_buffers"}
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)      # interns the names, as pickle's default does
-        self.free_buffers()
 
     @property
     def parameters(self) -> list[Tensor]:
         return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def free_buffers(self):
-        """Let the buffers go; the next ``hidden`` call makes them again."""
-        self._buffers = {}
+        """Let the buffers and the parameters' kept gradient arrays go, for a
+        network no longer trained; its next update makes them again."""
+        vars(self).pop("_buffers", None)
+        ad.release_grads(self.parameters)
 
     def _buffer(self, slot, shape, capacity: int) -> np.ndarray:
         """A C-contiguous float64 array of ``shape`` on the first elements of
         buffer ``slot``, which first grows to ``capacity`` elements."""
-        buf = self._buffers.get(slot)
+        buffers = vars(self).setdefault("_buffers", {})
+        buf = buffers.get(slot)
         if buf is None or buf.size < capacity:
-            buf = self._buffers[slot] = np.empty(capacity)
+            buf = buffers[slot] = np.empty(capacity)
         return buf[:np.prod(shape, dtype=int)].reshape(shape)
 
     def _stack(self, x, buffered: bool = False) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -87,21 +85,19 @@ class Mlp:
                 f"layer 0 expects input width {self.sizes[0]}, got {x.shape[-1]}"
             )
         cols = np.flatnonzero(x.any(axis=0))   # the columns some row sets
-        if not buffered:
-            acts = [x[:, cols].astype(np.float64, copy=False)]
-            for i in range(len(self.weights) - 1):
-                w = self.weights[i].data
-                h = acts[-1] @ (w[cols] if i == 0 else w)
-                h += self.biases[i].data
-                acts.append(np.tanh(h, out=h))
-            return cols, acts
         n, (width, fan_out) = len(x), self.weights[0].data.shape
-        acts = [self._buffer("x", (n, len(cols)), n * width)]
-        np.copyto(acts[0], x[:, cols])
-        w0 = np.take(self.weights[0].data, cols, axis=0, mode="clip",
-                     out=self._buffer("w0", (len(cols), fan_out), width * fan_out))
-        for i, w in enumerate([w0] + [p.data for p in self.weights[1:-1]]):
-            h = np.matmul(acts[-1], w, out=self._buffer(i, (n, w.shape[1]), n * w.shape[1]))
+        buf = self._buffer if buffered else None      # out=None allocates
+        if buf is None:
+            acts = [x[:, cols].astype(np.float64, copy=False)]
+        else:
+            acts = [buf("x", (n, len(cols)), n * width)]
+            np.copyto(acts[0], x[:, cols])
+        w = np.take(self.weights[0].data, cols, axis=0, mode="clip",
+                    out=buf and buf("w0", (len(cols), fan_out), width * fan_out))
+        for i in range(len(self.weights) - 1):
+            if i:
+                w = self.weights[i].data
+            h = np.matmul(acts[-1], w, out=buf and buf(i, (n, w.shape[1]), n * w.shape[1]))
             h += self.biases[i].data
             acts.append(np.tanh(h, out=h))
         return cols, acts
@@ -183,7 +179,6 @@ class Mlp:
         dup.sizes = list(self.sizes)
         dup.weights = [Tensor(w.data) for w in self.weights]
         dup.biases = [Tensor(b.data) for b in self.biases]
-        dup.free_buffers()
         return dup
 
 

@@ -132,9 +132,6 @@ class ColumnNet:
     def forward_np(self, x: np.ndarray) -> np.ndarray:
         return self.mlp.head(self._adapted(self.mlp.hidden_np(x), x)[0])
 
-    def free_buffers(self):
-        self.mlp.free_buffers()
-
 
 class ColumnSource(LearnerSource):
     """Acts with the task's actor column and its adapters."""
@@ -151,5 +148,9 @@ def pnn_update(stack: PnnStack, task_id: str, buffer: RolloutBuffer,
     col_idx = stack._column(task_id)
     col = stack.columns[col_idx]
     extra_opts = [stack.adapter_opts[col_idx]] if col_idx in stack.adapter_opts else []
+    for other in stack.columns:
+        if other is not col:        # no longer trained: its update buffers go
+            other.actor.free_buffers()
+            other.critic.free_buffers()
     return ppo_update(buffer, gae, stack.net(task_id, "actor"), stack.net(task_id, "critic"),
                       cfg, col.actor_opt, col.critic_opt, rng, extra_opts=extra_opts)

@@ -216,9 +216,7 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
                tasks: Optional[queue.SimpleQueue] = None) -> UpdateStats:
     """Clipped-surrogate update with entropy bonus and target-KL early stop.
 
-    The actor and critic are networks with ``Mlp``'s ``forward`` and
-    ``free_buffers``. Their buffers, and the gradient arrays the trained
-    parameters keep, are let go when the update returns.
+    The actor and critic are networks with ``Mlp``'s ``forward``.
     logits_fn(flat_indices) gives the minibatch's logits as a ``Node``; it
     defaults to the actor's forward. The optimizers name what the update
     trains: the parameters of ``actor_opt``, ``critic_opt`` and
@@ -311,9 +309,6 @@ def ppo_update(buffer: RolloutBuffer, gae: GaeOutput, actor: Mlp, critic: Mlp,
                 stats.append((pg, vl, ent, kl, cf, gn))
             if np.mean([mb[3] for mb in stats[-len(starts):]]) > cfg.target_kl:
                 break       # the epoch just run went too far
-    actor.free_buffers()
-    critic.free_buffers()
-    ad.release_grads(params)
     # each column summed in minibatch order, from 0.0, as running sums add
     return UpdateStats(*(reduce(add, column, 0.0) / len(stats) for column in zip(*stats)),
                        epochs_run=epochs_run)

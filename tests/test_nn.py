@@ -218,7 +218,7 @@ def _trained_arrays(net, x) -> list:
     """The buffers and gradients of one forward and backward of ``net``."""
     ad.zero_grads(net.parameters)
     ad.backward(net.forward(x), np.ones((len(x), net.sizes[-1])))
-    return [*net._buffers.values(), *(p.grad for p in net.parameters)]
+    return [*vars(net)["_buffers"].values(), *(p.grad for p in net.parameters)]
 
 
 def test_no_two_networks_share_a_buffer(rng):
@@ -228,7 +228,7 @@ def test_no_two_networks_share_a_buffer(rng):
     _trained_arrays(net, x)
     assert pickle.dumps(net) == state        # the buffers are never pickled
     nets = [net, net.clone(), pickle.loads(state), Mlp([60, 16, 16, 5], rng)]
-    assert all(other._buffers == {} for other in nets[1:])
+    assert not any("_buffers" in vars(other) for other in nets[1:])
     arrays = [_trained_arrays(n, x) for n in nets]
     for i, mine in enumerate(arrays):
         for theirs in arrays[i + 1:]:
@@ -236,8 +236,8 @@ def test_no_two_networks_share_a_buffer(rng):
 
 
 def test_an_unpickled_network_pickles_as_its_clone(rng):
-    # as pickle's default restore, so a resumed run writes the state.pkl bytes
-    # that it wrote before networks had buffers
+    # pickle's default restore interns the attribute names, so an unpickled
+    # network pickles to its clone's bytes
     net = Mlp([60, 16, 16, 5], rng)
     assert pickle.dumps([net, pickle.loads(pickle.dumps(net))]) == pickle.dumps([net, net.clone()])
 
@@ -248,7 +248,7 @@ def test_a_network_reuses_its_buffers_and_gradients(rng):
     again = _trained_arrays(net, _binary_batch(rng, 32))
     assert all(np.shares_memory(a, b) for a, b in zip(first, again))
     net.free_buffers()
-    ad.release_grads(net.parameters)
+    assert all(p._grad_array is None for p in net.parameters)
     fresh = _trained_arrays(net, _binary_batch(rng, 32))
     assert not any(np.shares_memory(a, b) for a in first for b in fresh)
 

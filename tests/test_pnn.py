@@ -129,6 +129,25 @@ def test_training_second_column_freezes_the_first():
                for x, y in zip(before_b, stack.columns[1].actor.get_arrays()))
 
 
+def test_an_update_keeps_its_column_buffers_and_lets_the_others_go():
+    cfg = tiny_cfg()
+    stack = make_stack()
+    stack.add_column("a")
+    a = stack.columns[0]
+    buffer = _rollout_for(stack, "a", cfg)
+    pnn_update(stack, "a", buffer, compute_gae(buffer, cfg.gamma, cfg.gae_lambda),
+               cfg, np.random.default_rng(3))
+    assert "_buffers" in vars(a.actor) and "_buffers" in vars(a.critic)
+    stack.add_column("b")
+    b = stack.columns[1]
+    buffer = _rollout_for(stack, "b", cfg)
+    pnn_update(stack, "b", buffer, compute_gae(buffer, cfg.gamma, cfg.gae_lambda),
+               cfg, np.random.default_rng(5))
+    assert "_buffers" in vars(b.actor) and "_buffers" in vars(b.critic)
+    assert "_buffers" not in vars(a.actor) and "_buffers" not in vars(a.critic)
+    assert all(p._grad_array is None for p in a.actor.parameters + a.critic.parameters)
+
+
 def test_adapters_receive_gradient_despite_zero_init():
     cfg = tiny_cfg()
     stack = make_stack()

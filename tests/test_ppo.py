@@ -406,6 +406,10 @@ def test_nan_loss_with_routed_snapshots_moves_no_optimizer(monkeypatch):
         with pytest.raises(RuntimeError, match="non-finite loss"):
             update()
         assert _opt_bits(opts) == before
+        # a routed snapshot's update memory goes with the update, raised or not
+        assert not any("_buffers" in vars(c.actor) for c in orch.checkpoints)
+        assert all(p._grad_array is None for c in orch.checkpoints for p in c.actor.parameters)
+        assert "_buffers" in vars(learner) and "_buffers" in vars(critic)
 
 
 def test_stored_log_probs_off_by_1e_6_stop_the_update_before_any_step(monkeypatch):
@@ -877,17 +881,20 @@ def test_the_halves_allocate_no_batch_sized_array_after_the_first_minibatch(monk
         return halves
 
     monkeypatch.setattr(ppo, "_side_by_side", traced)
+    opts = Adam(actor.parameters, 1e-3), Adam(critic.parameters, 1e-3)
     tracemalloc.start()
     try:
-        ppo_update(buffer, gae, actor, critic, cfg, Adam(actor.parameters, 1e-3),
-                   Adam(critic.parameters, 1e-3), np.random.default_rng(1))
+        ppo_update(buffer, gae, actor, critic, cfg, *opts, np.random.default_rng(1))
+        # a rollout of the stepped actor; the buffers and gradient arrays
+        # outlive the update, so the next one's first minibatch reuses them
+        buffer = collect_rollout(LearnerSource(actor), VecEnv([LevelSpec("runner", 1)], 16, 50),
+                                 critic.forward_np, cfg, np.random.default_rng(18))
+        gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda, norm_adv=True)
+        ppo_update(buffer, gae, actor, critic, cfg, *opts, np.random.default_rng(2))
     finally:
         tracemalloc.stop()
-    assert len(peaks) == 4
+    assert len(peaks) == 8
     assert max(peaks[1:]) < cfg.minibatch_size * 256 * 8 < peaks[0]
-    # the buffers and kept gradient arrays live for one update
-    assert actor._buffers == critic._buffers == {}
-    assert all(p._grad_array is None for p in actor.parameters + critic.parameters)
 
 
 def _update_threads() -> list[str]:
