@@ -1,6 +1,6 @@
 """MiniProc: a seeded, procedurally generated gridworld suite.
 
-Three families share one 405-float observation (9x9 grid, 5 one-hot
+Three families share one 405-cell ``uint8`` observation (9x9 grid, 5 one-hot
 channels) and one 8-action space so a single policy network can act in any
 of them:
 
@@ -285,14 +285,14 @@ class EnvInstance:
         return cells
 
     def observation(self) -> np.ndarray:
-        obs = np.zeros((N_CHANNELS, GRID, GRID))
-        obs[CH_AGENT][self.agent] = 1.0
-        obs[CH_GOAL][self.layout.goal] = 1.0
+        obs = np.zeros((N_CHANNELS, GRID, GRID), dtype=np.uint8)
+        obs[CH_AGENT][self.agent] = 1
+        obs[CH_GOAL][self.layout.goal] = 1
         for cell in self._hazard_cells():
-            obs[CH_HAZARD][cell] = 1.0
-        obs[CH_WALL][self.layout.walls] = 1.0
+            obs[CH_HAZARD][cell] = 1
+        obs[CH_WALL][self.layout.walls] = 1
         for cell in self.remaining_cues:
-            obs[CH_CUE][cell] = 1.0
+            obs[CH_CUE][cell] = 1
         return obs.ravel()
 
     def step(self, action: int) -> StepResult:

@@ -26,10 +26,12 @@ from .nn import Adam, Mlp
 from .envs import FAMILIES, LevelSpec, N_ACTIONS, OBS_DIM, VecEnv
 from .ppo import (LearnerSource, PpoConfig, collect_rollout, compute_gae,
                   evaluate_policy, ppo_update)
-from .hop import HopConfig, JoinedSource, Orchestra, checkpoint_now, masked_policy_update, save_checkpoint
+from .hop import (CheckpointPolicy, HopConfig, JoinedSource, Orchestra, checkpoint_now,
+                  load_checkpoint, masked_policy_update, save_checkpoint)
 from .pnn import ColumnSource, PnnStack, pnn_update
 
 HIDDEN = 256
+BUNDLE = "checkpoint_{:03d}"    # a snapshot's bundle in the run directory, by index
 
 
 @dataclass
@@ -254,7 +256,7 @@ class Trainer:
             self.global_step += cfg.ppo.batch_size
             self.iteration += 1
             done_iters += 1
-            # the rollout (13 MB of observations at desk scale) is spent: the
+            # the rollout (1.7 MB of observations at desk scale) is spent: the
             # checkpoint attempt, the evaluation and the persist reuse its pages
             del buffer, gae
             self._log_update(stats)
@@ -329,10 +331,17 @@ class Trainer:
     def _persist(self):
         """Write every attribute to state.pkl but those that load_trainer
         rebuilds from config.json and the run directory, at protocol 5,
-        which writes each array's buffer without copying it."""
+        which writes each array's buffer without copying it. A snapshot with
+        no optimizer never changes once ``_checkpoint`` has written its
+        bundle, so it is written as the bundle's name, index and creation
+        step, and load_trainer reads the bundle back."""
         if not self.out_dir:
             return
         state = {k: v for k, v in vars(self).items() if k not in ("config", "out_dir", "plan")}
+        state["orchestra"] = Orchestra([
+            c if c.opt is not None else
+            {"bundle": BUNDLE.format(c.index), "index": c.index, "created_step": c.created_step}
+            for c in self.orchestra.checkpoints])
         tmp = self.out_dir / "state.pkl.tmp"
         with open(tmp, "wb") as f:
             pickle.dump(state, f, protocol=5)
@@ -375,8 +384,7 @@ class HopTrainer(Trainer):
                               cfg.hop, cfg.max_eval_ep_len, self._event_rng(0xC4EC),
                               self.global_step, cfg.ppo.learning_rate)
         if ckpt is not None and self.out_dir:
-            save_checkpoint(ckpt, self.out_dir / f"checkpoint_{ckpt.index:03d}",
-                            cfg.hop)
+            save_checkpoint(ckpt, self.out_dir / BUNDLE.format(ckpt.index), cfg.hop)
 
 
 class PnnTrainer(Trainer):
@@ -414,9 +422,11 @@ def run_three_phase(config: RunConfig, out_dir: Optional[str] = None) -> Metrics
 
 
 def load_trainer(out_dir) -> Trainer:
-    """Rebuild a run's Trainer from its config.json and last state.pkl; a
-    run stopped before its first persist has no state.pkl and starts at
-    step 0. A state.pkl that is cut short raises ConfigError."""
+    """Rebuild a run's Trainer from its config.json and last state.pkl, and
+    each snapshot that state.pkl names from its bundle; a run stopped before
+    its first persist has no state.pkl and starts at step 0. A state.pkl
+    that is cut short raises ConfigError, as does a named bundle that is
+    missing or holds another checkpoint."""
     out_dir = Path(out_dir)
     config = config_from_flat_dict(read_json(out_dir / "config.json"))
     trainer = Trainer(config, None)     # rebuild, then overwrite mutable state
@@ -428,7 +438,23 @@ def load_trainer(out_dir) -> Trainer:
                 vars(trainer).update(pickle.load(f))
             except (pickle.UnpicklingError, EOFError) as err:
                 raise ConfigError(f"{state} cannot be read: {err}") from err
+    trainer.orchestra.checkpoints = [_load_bundle(out_dir, c) if isinstance(c, dict) else c
+                                     for c in trainer.orchestra.checkpoints]
     return trainer
+
+
+def _load_bundle(out_dir: Path, ref: dict) -> CheckpointPolicy:
+    """The snapshot that state.pkl names by ``ref``, read from its bundle."""
+    path = out_dir / ref["bundle"]
+    try:
+        ckpt = load_checkpoint(path)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"{path} cannot be read: {err}") from err
+    if (ckpt.index, ckpt.created_step) != (ref["index"], ref["created_step"]):
+        raise ConfigError(f"{path} holds checkpoint {ckpt.index} of step {ckpt.created_step}, "
+                          f"but state.pkl names checkpoint {ref['index']} of step "
+                          f"{ref['created_step']}")
+    return ckpt
 
 
 def resume(out_dir) -> MetricsReport:

@@ -56,12 +56,15 @@ def _digest(state_bytes: bytes) -> bytes:
 class TrustedStateSet:
     """Stored observations with exact dedup and a reservoir cap.
 
-    ``raw`` keeps each state once, as observed: it is what a checkpoint's
-    actor is fed, and ``matrix`` derives the unit vectors of the similarity
-    scan from it. ``episode_returns`` records, per stored state, the return
-    of the episode it was harvested from (audit trail for the reward gate).
+    ``raw`` keeps each state once, as observed and in the dtype it was
+    given (MiniProc's ``uint8``): it is what a checkpoint's actor is fed, and
+    ``matrix`` derives the float64 unit vectors of the similarity scan from
+    it. ``episode_returns`` records, per stored state, the return of the
+    episode it was harvested from (audit trail for the reward gate).
     ``_seen`` holds a 16-byte digest of every state ever ingested, evicted
-    ones included, so the reservoir samples a deduplicated stream.
+    ones included, so the reservoir samples a deduplicated stream; a digest
+    is taken over the state's float64 value, so one state deduplicates
+    whatever its dtype.
     """
 
     def __init__(self, cap: int, rng: np.random.Generator):
@@ -90,8 +93,8 @@ class TrustedStateSet:
 
     def add_episode(self, states: Sequence[np.ndarray], episode_return: float):
         for s in states:
-            s = np.asarray(s, dtype=np.float64)
-            key = _digest(s.tobytes())
+            s = np.asarray(s)
+            key = _digest(s.astype(np.float64, copy=False).tobytes())
             if key in self._seen:
                 continue
             self._seen.add(key)

@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +20,7 @@ from orchestra.harness import (HopTrainer, MetricsReport, MetricsRow, PnnTrainer
                                config_to_flat_dict, export_metrics,
                                final_rewards, load_trainer, resume,
                                run_three_phase, steps_to_return, summarize)
-from orchestra.hop import HopConfig
+from orchestra.hop import HopConfig, save_checkpoint
 from orchestra.ppo import PpoConfig
 
 from conftest import assert_parameters_stay_aligned
@@ -468,6 +469,55 @@ def test_a_protocol_4_state_resumes(tmp_path):
                (tmp_path / "full" / name).read_bytes(), name
 
 
+def _snapshotting_hop_config(checkpoint_gradients=False):
+    """A tiny hop run whose every attempt takes a snapshot, at steps 32, 64
+    and 96; with no routed gradients no snapshot has an optimizer."""
+    cfg = tiny_run_config("hop", seed=3)
+    cfg.hop.reward_limit = -100.0
+    cfg.hop.checkpoint_gradients = checkpoint_gradients
+    return cfg
+
+
+def _same_files(a: Path, b: Path, but=("state.pkl",)):
+    """Every file of two run directories but the paths ``but`` has the same bytes."""
+    files = sorted({p.relative_to(root) for root in (a, b) for p in root.rglob("*")
+                    if p.is_file() and str(p.relative_to(root)) not in but})
+    assert [str(rel) for rel in files if not ((a / rel).is_file() and (b / rel).is_file()
+                                              and (a / rel).read_bytes() == (b / rel).read_bytes())] == []
+
+
+def test_state_names_the_bundle_of_each_frozen_snapshot(tmp_path):
+    run_three_phase(_snapshotting_hop_config(), tmp_path / "full")
+    Trainer(_snapshotting_hop_config(), tmp_path / "part").run(max_iterations=3)
+    with open(tmp_path / "part" / "state.pkl", "rb") as f:
+        checkpoints = pickle.load(f)["orchestra"].checkpoints
+    assert checkpoints == [{"bundle": "checkpoint_001", "index": 1, "created_step": 32}]
+    trainer = load_trainer(tmp_path / "part")
+    (ckpt,) = trainer.orchestra.checkpoints
+    assert ckpt.opt is None and ckpt.trusted.raw[0].dtype == np.uint8
+    resume(tmp_path / "part")
+    _same_files(tmp_path / "part", tmp_path / "full")
+
+
+@pytest.mark.parametrize("gradients", [False, True], ids=["frozen", "routed"])
+def test_a_state_in_the_earlier_layout_resumes(tmp_path, gradients):
+    # state.pkl held every snapshot whole, and trusted sets and bundles held
+    # float64 states, before snapshots with no optimizer named their bundles
+    run_three_phase(_snapshotting_hop_config(gradients), tmp_path / "full")
+    part = tmp_path / "part"
+    trainer = Trainer(_snapshotting_hop_config(gradients), part)
+    trainer.run(max_iterations=3)
+    (ckpt,) = trainer.orchestra.checkpoints
+    ckpt.trusted.raw = [s.astype(np.float64) for s in ckpt.trusted.raw]
+    save_checkpoint(ckpt, part / "checkpoint_001", trainer.config.hop)
+    state = {k: v for k, v in vars(trainer).items() if k not in ("config", "out_dir", "plan")}
+    (part / "state.pkl").write_bytes(pickle.dumps(state, protocol=5))
+    resume(part)
+    # updates.jsonl, metrics.csv and summary.json among them; only the
+    # earlier bundle holds float64 states
+    _same_files(part, tmp_path / "full", but=("state.pkl", "checkpoint_001/arrays.npz"))
+
+
 def test_resume_before_the_first_persist_starts_at_step_zero(tmp_path):
     run_three_phase(tiny_run_config("hop", seed=6), tmp_path / "full")
     Trainer(tiny_run_config("hop", seed=6), tmp_path / "part")  # stopped at once
@@ -669,6 +719,20 @@ def test_cli_refuses_a_truncated_state(tmp_path, capsys):
     state.write_bytes(state.read_bytes()[:100])
     for command in ("resume", "export"):
         _cli_refuses([command, "--out", str(tmp_path)], capsys, str(state))
+
+
+@pytest.mark.parametrize("damage", ["missing", "index", "created_step"])
+def test_cli_refuses_a_state_whose_bundle_is_missing_or_another(tmp_path, capsys, damage):
+    Trainer(_snapshotting_hop_config(), tmp_path).run(max_iterations=2)
+    bundle = tmp_path / "checkpoint_001"
+    if damage == "missing":
+        shutil.rmtree(bundle)
+    else:
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        (bundle / "manifest.json").write_text(
+            json.dumps({**manifest, damage: manifest[damage] + 1}))
+    for command in ("resume", "export"):
+        _cli_refuses([command, "--out", str(tmp_path)], capsys, str(bundle))
 
 
 def test_cli_refuses_a_missing_or_malformed_file(tmp_path, capsys):

@@ -462,6 +462,15 @@ def test_trusted_set_deduplicates_exact_states():
     assert len(ts) == n
     with pytest.raises(ContractError):
         ts.add_episode([np.zeros(8)], 9.0)
+    # a state is one state whatever its dtype: its digest is of its float64
+    # value, and the set keeps the dtype it was first given
+    state = EnvInstance(LevelSpec("runner", 1)).observation()
+    assert state.dtype == np.uint8
+    for first, second in ((state, state.astype(np.float64)), (state.astype(np.float64), state)):
+        ts = TrustedStateSet(4, rng)
+        ts.add_episode([first], 9.0)
+        ts.add_episode([second], 9.0)
+        assert len(ts) == 1 and ts._ingested == 1 and ts.raw[0].dtype == first.dtype
 
 
 def test_reservoir_keeps_uniform_inclusion_frequencies():
@@ -505,6 +514,12 @@ def test_checkpoint_harvests_unit_states_from_passing_episodes():
     assert ckpt.index == 1 and ckpt.created_step == 123
     assert len(ckpt.trusted) > 0
     assert np.allclose(np.linalg.norm(ckpt.trusted.matrix, axis=1), 1.0)
+    # stored as the env built them, with the unit vectors of the same states
+    # given as float64, bit for bit
+    assert all(s.dtype == np.uint8 for s in ckpt.trusted.raw)
+    as_float = TrustedStateSet(cfg.trusted_cap, np.random.default_rng(0))
+    as_float.add_episode([s.astype(np.float64) for s in ckpt.trusted.raw], 9.0)
+    assert as_float.matrix.tobytes() == ckpt.trusted.matrix.tobytes()
     # the frozen actor is a snapshot, not an alias
     learner.parameters[0].data += 1.0
     assert not np.array_equal(ckpt.actor.parameters[0].data,

@@ -65,13 +65,15 @@ def test_rollout_deterministic_and_sized():
 
 
 def _recorded_observations(monkeypatch, vec, cell=None) -> list:
-    """Record every batch of observations ``vec`` builds from here on, each
-    with ``cell`` at row 0, column 5 when given."""
+    """Record every batch of observations ``vec`` builds from here on; when
+    ``cell`` is given, each batch is made float64 with ``cell`` at row 0,
+    column 5, since a ``uint8`` batch would cast it."""
     built, observations = [], vec.observations
 
     def recorded():
         obs = observations()
         if cell is not None:
+            obs = obs.astype(np.float64)
             obs[0, 5] = cell
         built.append(obs)
         return obs
@@ -87,9 +89,9 @@ def test_the_rollout_stores_the_observations_the_env_built_as_uint8(monkeypatch)
     built = _recorded_observations(monkeypatch, vec)
     buffer = collect_rollout(LearnerSource(actor), vec, critic.forward_np, cfg,
                              np.random.default_rng(17))
-    assert buffer.obs.dtype == np.uint8 and built[0].dtype == np.float64
-    # every stored step, as float64, has the bits of what the env built
-    assert buffer.obs.astype(np.float64).tobytes() == np.stack(built[:-1]).tobytes()
+    assert buffer.obs.dtype == np.uint8 and built[0].dtype == np.uint8
+    # every stored step has the bytes the env built
+    assert buffer.obs.tobytes() == np.stack(built[:-1]).tobytes()
 
 
 def test_an_observation_that_is_not_a_byte_stops_the_rollout(monkeypatch):
