@@ -34,8 +34,7 @@ def _cmd_aggregate(args):
 
 def _cmd_export(args):
     trainer = load_trainer(args.out)
-    formats = ("csv", "json") if args.format == "both" else (args.format,)
-    for path in export_metrics(trainer.report(), trainer.out_dir, formats):
+    for path in export_metrics(trainer.report(), trainer.out_dir):
         print(path)
 
 
@@ -63,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="re-export metrics from persisted state")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--format", choices=["csv", "json", "both"], default="both")
     p.set_defaults(func=_cmd_export)
     return parser
 

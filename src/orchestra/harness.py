@@ -159,29 +159,23 @@ CSV_FIELDS = ["step", "phase", "mean_return", "stderr",
               "active_checkpoint_count_mean", "phase1_mean_return"]
 
 
-def export_metrics(report: MetricsReport, out_dir, formats=("csv", "json")):
-    """metrics.csv (time series) and summary.json (derived scalars)."""
+def export_metrics(report: MetricsReport, out_dir):
+    """metrics.csv (time series) and summary.json (derived scalars), and their paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        path = out_dir / "metrics.csv"
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(CSV_FIELDS)
-            for r in report.rows:
-                writer.writerow([
-                    r.step, r.phase, repr(r.mean_return), repr(r.stderr),
-                    repr(r.active_checkpoint_count_mean),
-                    "" if r.phase1_mean_return is None else repr(r.phase1_mean_return),
-                ])
-        written.append(path)
-    if "json" in formats:
-        path = out_dir / "summary.json"
-        with open(path, "w") as f:
-            json.dump(summarize(report), f, indent=1)
-        written.append(path)
-    return written
+    csv_path, json_path = out_dir / "metrics.csv", out_dir / "summary.json"
+    with open(csv_path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(CSV_FIELDS)
+        for r in report.rows:
+            writer.writerow([
+                r.step, r.phase, repr(r.mean_return), repr(r.stderr),
+                repr(r.active_checkpoint_count_mean),
+                "" if r.phase1_mean_return is None else repr(r.phase1_mean_return),
+            ])
+    with open(json_path, "w") as f:
+        json.dump(summarize(report), f, indent=1)
+    return [csv_path, json_path]
 
 
 class Trainer:
@@ -250,8 +244,7 @@ class Trainer:
                 self._enter_phase(phase_idx)
             buffer = collect_rollout(self._source(self.current_phase), self.vecenv,
                                      self._critic().forward_np, cfg.ppo, self.train_rng)
-            gae = compute_gae(buffer, cfg.ppo.gamma, cfg.ppo.gae_lambda,
-                              norm_adv=cfg.ppo.norm_adv)
+            gae = compute_gae(buffer, cfg.ppo.gamma, cfg.ppo.gae_lambda, norm_adv=True)
             stats = self._update(buffer, gae)
             self.global_step += cfg.ppo.batch_size
             self.iteration += 1
@@ -426,7 +419,7 @@ def load_trainer(out_dir) -> Trainer:
     each snapshot that state.pkl names from its bundle; a run stopped before
     its first persist has no state.pkl and starts at step 0. A state.pkl
     that is cut short raises ConfigError, as does a named bundle that is
-    missing or holds another checkpoint."""
+    missing, lacks a key or array, or holds another checkpoint."""
     out_dir = Path(out_dir)
     config = config_from_flat_dict(read_json(out_dir / "config.json"))
     trainer = Trainer(config, None)     # rebuild, then overwrite mutable state
@@ -448,7 +441,7 @@ def _load_bundle(out_dir: Path, ref: dict) -> CheckpointPolicy:
     path = out_dir / ref["bundle"]
     try:
         ckpt = load_checkpoint(path)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, KeyError) as err:     # KeyError: a key or array is missing
         raise ConfigError(f"{path} cannot be read: {err}") from err
     if (ckpt.index, ckpt.created_step) != (ref["index"], ref["created_step"]):
         raise ConfigError(f"{path} holds checkpoint {ckpt.index} of step {ckpt.created_step}, "
@@ -523,16 +516,21 @@ def _check_run_environment(out_dir):
 # --- flat JSON configuration -------------------------------------------------
 #
 # Keys mirror the experiment-parameter tables verbatim. Unknown keys are
-# rejected so silent typos cannot skew a run.
+# rejected so silent typos cannot skew a run. The batch sizes, anneal_lr,
+# norm_adv and attributes are fixed (_IMPLIED): the tables and earlier
+# config.json files hold them, so each is accepted only at its implied value.
 
 _PPO_KEYS = {f.name for f in fields(PpoConfig)}
 _HOP_KEYS = {f.name for f in fields(HopConfig)}
 _RUN_KEYS = {f.name for f in fields(RunConfig)} - {"ppo", "hop"}
-_DERIVED_KEYS = {"batch_size", "minibatch_size"}  # accepted, must be consistent
+_IMPLIED = {"batch_size": lambda cfg: cfg.ppo.batch_size,
+            "minibatch_size": lambda cfg: cfg.ppo.minibatch_size,
+            "anneal_lr": lambda cfg: False, "norm_adv": lambda cfg: True,
+            "attributes": lambda cfg: "joined"}
 # each key's kind, and the values it takes: a bool is no number here
 _KINDS = {f.name: getattr(f.type, "__name__", f.type)
           for c in (PpoConfig, HopConfig, RunConfig) for f in fields(c)}
-_KINDS.update(batch_size="int", minibatch_size="int")
+_KINDS.update({k: type(implied(RunConfig())).__name__ for k, implied in _IMPLIED.items()})
 _ACCEPTS = {"bool": (bool, np.bool_), "int": (int, np.integer),
             "float": (int, float, np.integer, np.floating), "str": (str,)}
 
@@ -549,7 +547,7 @@ def read_json(path) -> dict:
 
 
 def config_from_flat_dict(raw: dict) -> RunConfig:
-    unknown = set(raw) - _PPO_KEYS - _HOP_KEYS - _RUN_KEYS - _DERIVED_KEYS
+    unknown = set(raw) - _PPO_KEYS - _HOP_KEYS - _RUN_KEYS - set(_IMPLIED)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
@@ -561,12 +559,12 @@ def config_from_flat_dict(raw: dict) -> RunConfig:
     raw = {k: v.item() if isinstance(v, np.generic) else v for k, v in raw.items()}
     ppo = PpoConfig(**{k: raw[k] for k in _PPO_KEYS if k in raw})
     hop = HopConfig(**{k: raw[k] for k in _HOP_KEYS if k in raw})
-    for key in sorted(_DERIVED_KEYS & set(raw)):
-        if raw[key] != getattr(ppo, key):
-            raise ConfigError(f"{key}={raw[key]} inconsistent with the {getattr(ppo, key)} "
-                              "that num_steps, num_envs and num_minibatches give")
     cfg = RunConfig(ppo=ppo, hop=hop, **{k: raw[k] for k in _RUN_KEYS & set(raw)})
-    cfg.validate()
+    cfg.validate()      # first, so the implied batch sizes divide by no zero
+    for key in sorted(_IMPLIED.keys() & raw.keys()):
+        if raw[key] != _IMPLIED[key](cfg):
+            raise ConfigError(f"{key} must be {_IMPLIED[key](cfg)!r}, the value the rest "
+                              f"of the config implies; got {raw[key]!r}")
     return cfg
 
 
@@ -584,7 +582,10 @@ def aggregate(run_dirs: Sequence[str]) -> dict:
     """Cross-seed aggregate of exported run summaries, grouped by algorithm."""
     groups: dict[str, list[dict]] = {}
     for d in run_dirs:
-        s = read_json(Path(d) / "summary.json")
+        s = read_json(path := Path(d) / "summary.json")
+        for key in ("algorithm", "seed", "final_rewards", "steps_to_return"):
+            if key not in s:
+                raise ConfigError(f"{path} has no {key!r}")
         groups.setdefault(s["algorithm"], []).append(s)
     out = {}
     for algo, summaries in sorted(groups.items()):

@@ -37,13 +37,10 @@ class HopConfig:
     trusted_cap: int = 4096              # per-checkpoint state budget (reservoir)
     checkpoint_gradients: bool = True    # route masked gradients into checkpoints
     eval_episodes: int = 10              # episodes run per checkpoint attempt
-    attributes: str = "joined"           # "joined" or "learner" log-prob source
 
     def validate(self):
         if not 0.0 < self.min_similarity_score < 1.0:
             raise ConfigError("min_similarity_score must be in (0, 1)")
-        if self.attributes not in ("joined", "learner"):
-            raise ConfigError("attributes must be 'joined' or 'learner'")
         require_positive(self, "checkpoint_interval", "trusted_cap", "eval_episodes")
         if np.isnan(self.reward_limit):     # no return would pass the gate
             raise ConfigError("reward_limit must not be NaN")
@@ -386,11 +383,6 @@ class JoinedSource(ActionSource):
         return (learner_logits + contribution,
                 joined_records(bitmask, best, contribution, learner_logits))
 
-    def behavior_logits(self, logits: np.ndarray, aux) -> np.ndarray:
-        if self.cfg.attributes == "learner":
-            return aux["learner_logits"]
-        return logits
-
 
 def checkpoint_now(learner: Mlp, orchestra: Orchestra,
                    level_specs: Sequence[LevelSpec], hop_cfg: HopConfig,
@@ -467,8 +459,6 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
         raise ContractError(f"stored bitmask length {stored} != checkpoint count {M}")
     bitmask, best = records["bitmask"], records["best"]
     obs_flat = buffer.obs.reshape(len(records), -1)
-    learner_mode = hop_cfg.attributes == "learner"
-    route_grads = hop_cfg.checkpoint_gradients and not learner_mode
     index = orchestra.joined_index(hop_cfg.min_similarity_score)
 
     def routed_logits(logits: ad.Node, idx: np.ndarray):
@@ -497,13 +487,13 @@ def masked_policy_update(buffer: RolloutBuffer, gae: GaeOutput, learner: Mlp,
 
     def logits_fn(idx: np.ndarray):
         logits = learner.forward(obs_flat[idx])
-        if learner_mode or M == 0:
+        if M == 0:
             return logits
-        if not route_grads:
+        if not hop_cfg.checkpoint_gradients:
             return joined_logits(logits, [], records["orchestra"][idx])
         return routed_logits(logits, idx)
 
-    extra_opts = [c.opt for c in orchestra.checkpoints] if route_grads else []
+    extra_opts = [c.opt for c in orchestra.checkpoints] if hop_cfg.checkpoint_gradients else []
     if None in extra_opts:
         raise ContractError("routed checkpoint gradients need an optimizer on every checkpoint")
     tasks = queue.SimpleQueue() if extra_opts else None

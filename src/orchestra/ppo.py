@@ -43,9 +43,7 @@ class PpoConfig:
     target_kl: float = 0.05
     num_steps: int = 256
     num_envs: int = 16
-    norm_adv: bool = True
     clip_vloss: bool = False
-    anneal_lr: bool = False
     learning_rate: float = 5e-4
 
     @property
@@ -63,8 +61,6 @@ class PpoConfig:
                 f"num_minibatches={self.num_minibatches} does not divide "
                 f"batch_size={self.batch_size}"
             )
-        if self.anneal_lr:
-            raise ConfigError("anneal_lr is not supported")
         if not 0.0 < self.learning_rate < np.inf:       # NaN fails too
             raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         for key in ("gamma", "gae_lambda"):
@@ -136,13 +132,7 @@ class ActionSource:
         logits, aux = self.logits_and_aux(obs_batch)
         probs = ad.softmax_np(logits)
         actions = sample_categorical_batch(probs, rng)
-        blogp = ad.log_softmax_np(self.behavior_logits(logits, aux))
-        rows = np.arange(len(actions))
-        return actions, blogp[rows, actions], aux
-
-    def behavior_logits(self, logits: np.ndarray, aux) -> np.ndarray:
-        """Logits whose distribution defines the stored behavior log-prob."""
-        return logits
+        return actions, ad.log_softmax_np(logits)[np.arange(len(actions)), actions], aux
 
 
 class LearnerSource(ActionSource):

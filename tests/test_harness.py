@@ -61,10 +61,10 @@ def test_flat_config_takes_missing_keys_from_run_config_defaults():
     assert config_from_flat_dict({"algorithm": "hop"}) == RunConfig(algorithm="hop")
     # the defaults, HopConfig's desk checkpoint interval among them
     defaults = {
-        "anneal_lr": False, "clip_coef": 0.2, "clip_vloss": False, "ent_coef": 0.01,
+        "clip_coef": 0.2, "clip_vloss": False, "ent_coef": 0.01,
         "gae_lambda": 0.95, "gamma": 0.999, "learning_rate": 0.0005, "max_grad_norm": 0.5,
-        "norm_adv": True, "num_envs": 16, "num_minibatches": 8, "num_steps": 256,
-        "target_kl": 0.05, "update_epochs": 3, "vf_coef": 0.5, "attributes": "joined",
+        "num_envs": 16, "num_minibatches": 8, "num_steps": 256,
+        "target_kl": 0.05, "update_epochs": 3, "vf_coef": 0.5,
         "checkpoint_gradients": True, "checkpoint_interval": 24576, "eval_episodes": 10,
         "min_similarity_score": 0.98, "reward_limit": 7.5, "trusted_cap": 4096,
         "batch_size": 4096, "minibatch_size": 512, "algorithm": "ppo",
@@ -94,6 +94,45 @@ def test_config_rejects_inconsistent_derived_sizes():
         config_from_flat_dict(flat)
 
 
+RETIRED = {"anneal_lr": False, "norm_adv": True, "attributes": "joined"}
+
+
+@pytest.mark.parametrize("key,value", [
+    *RETIRED.items(), ("anneal_lr", np.bool_(False)), ("norm_adv", np.bool_(True)),
+    ("attributes", np.str_("joined"))])
+def test_config_accepts_a_retired_key_at_its_value(key, value):
+    flat = config_to_flat_dict(tiny_run_config("hop"))
+    assert key not in flat
+    assert config_from_flat_dict({**flat, key: value}) == tiny_run_config("hop")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("anneal_lr", True), ("norm_adv", False), ("attributes", "learner"),
+    ("norm_adv", np.bool_(False))])
+def test_config_refuses_a_retired_key_at_another_value(key, value):
+    flat = {**config_to_flat_dict(tiny_run_config("hop")), key: value}
+    with pytest.raises(ConfigError, match=key):
+        config_from_flat_dict(flat)
+
+
+def test_a_flat_config_of_the_earlier_format_gives_the_same_config():
+    flat = config_to_flat_dict(tiny_run_config("hop"))
+    earlier = {**flat, **RETIRED}       # what config.json held before they were retired
+    assert config_from_flat_dict(earlier) == config_from_flat_dict(flat)
+    preset = json.loads((Path(__file__).parents[1] / "scripts" / "configs"
+                         / "hop_desk.json").read_text())
+    assert RETIRED.items() <= preset.items()
+    assert config_from_flat_dict(preset) == \
+        config_from_flat_dict({k: v for k, v in preset.items() if k not in RETIRED})
+
+
+def test_config_refuses_no_minibatches_before_checking_the_implied_sizes():
+    # the implied minibatch_size divides by num_minibatches
+    flat = {**config_to_flat_dict(tiny_run_config("hop")), **RETIRED, "num_minibatches": 0}
+    with pytest.raises(ConfigError, match="num_minibatches"):
+        config_from_flat_dict(flat)
+
+
 def test_config_validation_rules():
     with pytest.raises(ConfigError, match="algorithm"):
         tiny_run_config("sarsa").validate()
@@ -106,9 +145,7 @@ def test_config_validation_rules():
     with pytest.raises(ConfigError, match="share family"):
         tiny_run_config(experiment="runner-climber-dodger").validate()
     with pytest.raises(ConfigError, match="anneal_lr"):
-        cfg = tiny_run_config()
-        cfg.ppo.anneal_lr = True
-        cfg.validate()
+        config_from_flat_dict({**config_to_flat_dict(tiny_run_config()), "anneal_lr": True})
     with pytest.raises(ConfigError, match="familyA"):
         config_from_flat_dict({"experiment": "runner-climber"})
 
@@ -140,10 +177,10 @@ def test_config_rejects_a_value_of_the_wrong_kind(key, value):
 def test_config_takes_ints_for_floats_and_numpy_scalars():
     flat = config_to_flat_dict(tiny_run_config("hop"))
     flat.update(learning_rate=1, gamma=np.float32(0.5), num_envs=np.int64(2),
-                norm_adv=np.bool_(False), attributes=np.str_("learner"))
+                clip_vloss=np.bool_(True), experiment=np.str_("dodger-runner-dodger"))
     cfg = config_from_flat_dict(flat)
     assert (cfg.ppo.learning_rate, cfg.ppo.gamma, cfg.ppo.num_envs) == (1, 0.5, 2)
-    assert cfg.ppo.norm_adv is False and cfg.hop.attributes == "learner"
+    assert cfg.ppo.clip_vloss is True and type(cfg.experiment) is str
     json.dumps(config_to_flat_dict(cfg))      # config.json can hold every value
 
 
@@ -641,6 +678,16 @@ def test_aggregate_groups_by_algorithm(tmp_path):
     assert agg["ppo"]["seeds"] == [1]
 
 
+@pytest.mark.parametrize("key", ["algorithm", "seed", "final_rewards", "steps_to_return"])
+def test_cli_refuses_to_aggregate_a_summary_without_a_key(tmp_path, capsys, key):
+    summary = {"algorithm": "hop", "seed": 1, "steps_to_return": 8192,
+               "final_rewards": 8.0, "phase1_peak": 8.0, "config": {}}
+    del summary[key]
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    _cli_refuses(["aggregate", "--runs", str(tmp_path)], capsys,
+                 f"{tmp_path / 'summary.json'} has no {key!r}")
+
+
 # --- CLI -----------------------------------------------------------------------------
 
 
@@ -659,7 +706,7 @@ def test_cli_train_resume_aggregate_export(tmp_path, capsys):
     cli_main(["resume", "--out", str(run_dir)])  # finished run: no-op rerun
     assert json.loads(capsys.readouterr().out)["seed"] == 5
 
-    cli_main(["export", "--out", str(run_dir), "--format", "both"])
+    cli_main(["export", "--out", str(run_dir)])
     out = capsys.readouterr().out
     assert "metrics.csv" in out and "summary.json" in out
 
@@ -721,12 +768,21 @@ def test_cli_refuses_a_truncated_state(tmp_path, capsys):
         _cli_refuses([command, "--out", str(tmp_path)], capsys, str(state))
 
 
-@pytest.mark.parametrize("damage", ["missing", "index", "created_step"])
+@pytest.mark.parametrize("damage", ["missing", "index", "created_step", "actor_sizes",
+                                    "actor_5"])
 def test_cli_refuses_a_state_whose_bundle_is_missing_or_another(tmp_path, capsys, damage):
     Trainer(_snapshotting_hop_config(), tmp_path).run(max_iterations=2)
     bundle = tmp_path / "checkpoint_001"
     if damage == "missing":
         shutil.rmtree(bundle)
+    elif damage == "actor_sizes":       # a manifest without a key
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        del manifest[damage]
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+    elif damage == "actor_5":           # an archive without an array
+        with np.load(bundle / "arrays.npz") as arrays:
+            kept = {k: arrays[k] for k in arrays.files if k != damage}
+        np.savez(bundle / "arrays.npz", **kept)
     else:
         manifest = json.loads((bundle / "manifest.json").read_text())
         (bundle / "manifest.json").write_text(

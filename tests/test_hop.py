@@ -601,46 +601,6 @@ def test_frozen_checkpoints_stay_bit_identical():
             assert np.array_equal(a, b)
 
 
-def test_learner_attributes_store_and_train_the_learner_alone():
-    learner, critic, orch, hop_cfg, ppo_cfg = _hop_setup(2)
-    hop_cfg.attributes = "learner"
-    hop_cfg.checkpoint_gradients = True
-    buffer = _hop_rollout(learner, critic, orch, hop_cfg, ppo_cfg)
-    assert any(a["bitmask"].any() for row in buffer.aux for a in row)
-    # the stored log-prob is the learner's at the sampled action, and the
-    # joined policy the actions were sampled from differs from it
-    source = JoinedSource(learner, orch, hop_cfg)
-    envs = np.arange(buffer.num_envs)
-    joined_differs = False
-    for t in range(buffer.num_steps):
-        learner_logp = ad.log_softmax_np(learner.forward_np(buffer.obs[t]))
-        assert np.array_equal(buffer.logprobs[t], learner_logp[envs, buffer.actions[t]])
-        joined_logp = ad.log_softmax_np(source.logits_and_aux(buffer.obs[t])[0])
-        joined_differs |= not np.array_equal(joined_logp, learner_logp)
-    assert joined_differs
-
-    # the update's logits are the learner's alone: it matches plain PPO and
-    # leaves every snapshot and its Adam state as they were
-    gae = compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda, norm_adv=True)
-    snapshots = copy.deepcopy([(c.actor.get_arrays(), c.opt.m, c.opt.v, c.opt.step_count)
-                               for c in orch.checkpoints])
-    l2, c2 = learner.clone(), critic.clone()
-    masked_policy_update(buffer, gae, learner, critic, orch, ppo_cfg, hop_cfg,
-                         Adam(learner.parameters, 1e-3),
-                         Adam(critic.parameters, 1e-3),
-                         np.random.default_rng(9))
-    ppo_update(buffer, gae, l2, c2, ppo_cfg,
-               Adam(l2.parameters, 1e-3), Adam(c2.parameters, 1e-3),
-               np.random.default_rng(9))
-    for a, b in zip(learner.get_arrays() + critic.get_arrays(),
-                    l2.get_arrays() + c2.get_arrays()):
-        assert np.array_equal(a, b)
-    for c, (arrays, m, v, steps) in zip(orch.checkpoints, snapshots):
-        assert c.opt.step_count == steps == 0
-        for a, b in zip(c.actor.get_arrays() + c.opt.m + c.opt.v, arrays + m + v):
-            assert np.array_equal(a, b)
-
-
 def test_routing_flag_does_not_change_learner_gradients():
     # with checkpoint learning rate 0 and no gradient clipping, routing
     # gradients into checkpoints must leave the learner update bit-identical

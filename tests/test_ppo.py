@@ -450,8 +450,8 @@ def test_a_stale_logit_table_stops_a_routed_update():
 
 @pytest.mark.parametrize("algorithm, hop_keys", [
     ("ppo", {}), ("pnn", {}), ("hop", {"checkpoint_gradients": False}),
-    ("hop", {"checkpoint_gradients": True}), ("hop", {"attributes": "learner"})],
-    ids=["ppo", "pnn", "hop", "hop-routed", "hop-learner"])
+    ("hop", {"checkpoint_gradients": True})],
+    ids=["ppo", "pnn", "hop", "hop-routed"])
 def test_tiny_runs_train_the_policy_that_acted(algorithm, hop_keys, monkeypatch):
     # every update checks its first minibatch; record the gap each one saw
     from orchestra import harness, pnn
