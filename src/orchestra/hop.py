@@ -219,6 +219,10 @@ class JoinedIndex:
     on actor weights, and nothing about checkpoint m on checkpoints after it,
     so appending checkpoints extends the index. ``logit_table`` folds the
     tables over the actors' outputs at their current weights.
+
+    ``recall`` remembers, per observation (its dtype and bytes), its best
+    match and activation over every indexed checkpoint, until ``extend``
+    appends one, and its ``contribution``, until the logit table is rebuilt.
     """
 
     def __init__(self, checkpoints: Sequence[CheckpointPolicy], omega: float):
@@ -233,6 +237,8 @@ class JoinedIndex:
         self._logits: list[np.ndarray] = []      # each actor over its trusted set
         self._steps: list[int] = []              # at these optimizer step counts
         self._table: Optional[np.ndarray] = None
+        self._scanned: dict[tuple[str, bytes], tuple[np.ndarray, np.ndarray]] = {}
+        self._folded: dict[tuple[str, bytes], np.ndarray] = {}
         self.extend(checkpoints)
 
     def __len__(self) -> int:
@@ -247,6 +253,7 @@ class JoinedIndex:
             return
         start = len(self)
         self.checkpoints += new
+        self._scanned.clear()    # the step list grows too, so every fold goes as well
         self.offsets = np.cumsum([0] + [len(c.trusted) for c in self.checkpoints])
         units = np.ascontiguousarray(np.concatenate([c.trusted.matrix for c in new]).T)
         self.units_t = units if self.units_t is None else \
@@ -323,6 +330,7 @@ class JoinedIndex:
             self._table = np.add.reduceat(self.tables.coeff[:, None] * logits[self.tables.g],
                                           self.table_ptr[:-1], axis=0)
             self._steps = steps
+            self._folded.clear()
         return self._table
 
     def contribution(self, best: np.ndarray, bitmask: np.ndarray) -> np.ndarray:
@@ -331,6 +339,41 @@ class JoinedIndex:
         table = self.logit_table()
         rows = table[self.offsets[:-1] + best]
         return np.einsum("nm,nma->na", hierarchical_weights(bitmask), rows)
+
+    def recall(self, queries: np.ndarray):
+        """``scan`` over every indexed checkpoint and ``contribution`` of each
+        row of a 2-D batch, as remembered for its observation: the distinct
+        rows not scanned since the last ``extend`` go to one ``scan``, and
+        those not folded since the logit table last changed to one
+        ``contribution``. Returns best matches, bitmask and contributions."""
+        self.logit_table()                      # a rebuild forgets every fold
+        dtype = queries.dtype.str
+        keys = [(dtype, q.tobytes()) for q in queries]
+        unseen = _first_rows(keys, self._scanned)
+        if unseen:
+            best, bitmask = self.scan(_take(queries, unseen), len(self))
+            self._scanned.update(zip(unseen, zip(best, bitmask)))
+        best, bitmask = (np.array(a) for a in zip(*map(self._scanned.__getitem__, keys)))
+        unfolded = _first_rows(keys, self._folded)
+        if unfolded:
+            self._folded.update(zip(unfolded, self.contribution(_take(best, unfolded),
+                                                                _take(bitmask, unfolded))))
+        return best, bitmask, np.array(list(map(self._folded.__getitem__, keys)))
+
+
+def _first_rows(keys: list, memo: dict) -> dict:
+    """The distinct keys missing from ``memo``, each with its first row."""
+    first = {}
+    for i, key in enumerate(keys):
+        if key not in memo:
+            first.setdefault(key, i)
+    return first
+
+
+def _take(a: np.ndarray, first: dict) -> np.ndarray:
+    """The rows of ``a`` that ``_first_rows`` found; all of them, uncopied,
+    when that is every row."""
+    return a if len(first) == len(a) else a[list(first.values())]
 
 
 def expand_joined(orchestra: Orchestra, state: np.ndarray, omega: float):
@@ -377,9 +420,11 @@ class JoinedSource(ActionSource):
         at each checkpoint's best match; aux is ``joined_records``."""
         learner_logits = self.learner.forward_np(obs_batch)
         index = self.orchestra.joined_index(self.cfg.min_similarity_score)
-        best, bitmask = index.scan(obs_batch, len(index))
-        contribution = index.contribution(best, bitmask) if len(index) else \
-            np.zeros_like(learner_logits)
+        if len(index):
+            best, bitmask, contribution = index.recall(obs_batch)
+        else:
+            best, bitmask = index.scan(obs_batch, 0)
+            contribution = np.zeros_like(learner_logits)
         return (learner_logits + contribution,
                 joined_records(bitmask, best, contribution, learner_logits))
 
@@ -532,12 +577,15 @@ def save_checkpoint(ckpt: CheckpointPolicy, directory, hop_cfg: HopConfig):
 
 
 def load_checkpoint(directory) -> CheckpointPolicy:
-    """A bundle written by ``save_checkpoint``. ``np.load`` refuses an
-    archive that holds pickled objects (ValueError), and actor arrays whose
-    shapes do not fit ``actor_sizes`` raise DimensionError."""
+    """A bundle written by ``save_checkpoint``. A manifest that is not a JSON
+    object raises ConfigError, ``np.load`` refuses an archive that holds
+    pickled objects (ValueError), and actor arrays whose shapes do not fit
+    ``actor_sizes`` raise DimensionError."""
     directory = Path(directory)
     with open(directory / "manifest.json") as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{directory / 'manifest.json'} does not hold a JSON object")
     actor = Mlp(manifest["actor_sizes"], np.random.default_rng(0))
     with np.load(directory / "arrays.npz") as arrays:
         actor.set_arrays([arrays[f"actor_{i}"] for i in range(len(actor.parameters))])

@@ -769,7 +769,7 @@ def test_cli_refuses_a_truncated_state(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage", ["missing", "index", "created_step", "actor_sizes",
-                                    "actor_5"])
+                                    "actor_5", "not_an_object"])
 def test_cli_refuses_a_state_whose_bundle_is_missing_or_another(tmp_path, capsys, damage):
     Trainer(_snapshotting_hop_config(), tmp_path).run(max_iterations=2)
     bundle = tmp_path / "checkpoint_001"
@@ -779,6 +779,8 @@ def test_cli_refuses_a_state_whose_bundle_is_missing_or_another(tmp_path, capsys
         manifest = json.loads((bundle / "manifest.json").read_text())
         del manifest[damage]
         (bundle / "manifest.json").write_text(json.dumps(manifest))
+    elif damage == "not_an_object":     # a manifest that is JSON, but a list
+        (bundle / "manifest.json").write_text("[]")
     elif damage == "actor_5":           # an archive without an array
         with np.load(bundle / "arrays.npz") as arrays:
             kept = {k: arrays[k] for k in arrays.files if k != damage}

@@ -451,6 +451,123 @@ def test_logit_tables_are_left_out_of_pickles():
     assert len(pickle.dumps(orch)) == size
 
 
+# --- the joined index's memo of observations -------------------------------------
+
+
+def _fresh_recall(orch, omega, batch):
+    """Best matches, bitmask and contribution from a new index's ``scan``."""
+    index = JoinedIndex(orch.checkpoints, omega)
+    best, bitmask = index.scan(batch, len(index))
+    return best, bitmask, index.contribution(best, bitmask)
+
+
+def _count_scanned_rows(index):
+    """Record the number of rows of each ``scan`` the index makes."""
+    rows = []
+    scan = index.scan
+
+    def recorded(queries, count):
+        rows.append(len(queries))
+        return scan(queries, count)
+
+    index.scan = recorded
+    return rows
+
+
+def _distinct(states):
+    return len({s.tobytes() for s in states})
+
+
+def test_recall_of_cached_new_and_repeated_rows_matches_a_fresh_scan():
+    _, _, orch, hop_cfg, _ = _hop_setup(3, omega=0.98)
+    omega = hop_cfg.min_similarity_score
+    states = _level_states(np.random.default_rng(2))
+    index = orch.joined_index(omega)
+    index.recall(states[:6])
+    scanned = _count_scanned_rows(index)
+    batch = np.concatenate([states[4:10], states[[0, 8, 8, 3]]])
+    got = index.recall(batch)
+    assert got[1].any() and not got[1].all()
+    for a, b in zip(got, _fresh_recall(orch, omega, batch)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # one scan of the distinct rows not seen before
+    assert scanned == [_distinct(states[:10]) - _distinct(states[:6])]
+    assert len(index._scanned) == len(index._folded) == _distinct(states[:10])
+    source = JoinedSource(_tiny_actor(np.random.default_rng(3), OBS_DIM, N_ACTIONS), orch,
+                          hop_cfg)
+    aux = source.logits_and_aux(batch)[1]     # every row remembered: no scan
+    assert np.array_equal(aux["best"], got[0]) and np.array_equal(aux["orchestra"], got[2])
+    assert len(scanned) == 1
+
+
+def test_extend_forgets_the_remembered_activations():
+    _, _, full, hop_cfg, _ = _hop_setup(3, omega=0.98)
+    omega = hop_cfg.min_similarity_score
+    states = _level_states(np.random.default_rng(2))
+    orch = Orchestra(full.checkpoints[:2])
+    index = orch.joined_index(omega)
+    index.recall(states)
+    orch.checkpoints.append(full.checkpoints[2])
+    assert orch.joined_index(omega) is index
+    scanned = _count_scanned_rows(index)
+    got = index.recall(states)
+    assert scanned == [_distinct(states)] and got[1].shape == (len(states), 3)
+    for a, b in zip(got, _fresh_recall(orch, omega, states)):
+        assert np.array_equal(a, b)
+
+
+def test_a_stepped_snapshot_refolds_contributions_without_a_new_scan():
+    _, _, orch, hop_cfg, _ = _hop_setup(3, omega=0.98)
+    omega = hop_cfg.min_similarity_score
+    states = _level_states(np.random.default_rng(2))
+    index = orch.joined_index(omega)
+    before = index.recall(states)
+    ckpt = orch.checkpoints[int(before[1].sum(axis=0).argmax())]
+    for p in ckpt.actor.parameters:
+        p.grad = np.ones_like(p.data)
+    ckpt.opt.step()
+    scanned = _count_scanned_rows(index)
+    after = index.recall(states)
+    assert scanned == []
+    assert np.array_equal(after[0], before[0]) and np.array_equal(after[1], before[1])
+    assert not np.array_equal(after[2], before[2])
+    assert np.array_equal(after[2], _fresh_recall(orch, omega, states)[2])
+
+
+def test_a_zero_observation_is_refused_among_remembered_ones():
+    _, _, orch, hop_cfg, _ = _hop_setup(3, omega=0.98)
+    states = _level_states(np.random.default_rng(2))
+    source = JoinedSource(_tiny_actor(np.random.default_rng(3), OBS_DIM, N_ACTIONS), orch,
+                          hop_cfg)
+    source.logits_and_aux(states[:3])
+    index = orch.joined_index(hop_cfg.min_similarity_score)
+    remembered = len(index._scanned)
+    batch = states[:3].copy()
+    batch[1] = 0
+    for recall in (index.recall, source.logits_and_aux):
+        with pytest.raises(ContractError, match="nonzero"):
+            recall(batch)
+    assert len(index._scanned) == len(index._folded) == remembered
+
+
+def test_each_dtype_of_an_observation_is_remembered_apart():
+    _, _, orch, hop_cfg, _ = _hop_setup(3, omega=0.98)
+    states = _level_states(np.random.default_rng(2))
+    assert states.dtype == np.uint8
+    index = orch.joined_index(hop_cfg.min_similarity_score)
+    as_bytes = index.recall(states)
+    floats = states.astype(np.float64)
+    as_floats = index.recall(floats)
+    assert len(index._scanned) == len(index._folded) == 2 * _distinct(states)
+    for a, b in zip(as_bytes, as_floats):
+        assert np.array_equal(a, b)
+    # the same bytes read as another dtype are another observation
+    ints = floats.view(np.int64)
+    for a, b in zip(index.recall(ints), _fresh_recall(orch, hop_cfg.min_similarity_score, ints)):
+        assert np.array_equal(a, b)
+    assert len(index._scanned) == 3 * _distinct(states)
+
+
 # --- trusted-state bookkeeping --------------------------------------------------
 
 
