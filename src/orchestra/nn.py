@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -201,7 +201,16 @@ def sample_categorical_batch(probs: np.ndarray, rng: np.random.Generator) -> np.
 
 @dataclass
 class Adam:
-    """Adam with bias correction, one slot pair per tracked parameter."""
+    """Adam with bias correction, one slot pair per tracked parameter.
+
+    A 2-D parameter's moments hold only the rows that ever had a nonzero
+    gradient: ``rows[i]`` is their sorted index, and ``m[i]``, ``v[i]`` are
+    ``(len(rows[i]), width)``. Every other row has zero moments and, so far,
+    a zero gradient, so its step would be ``p - 0.0``. ``rows[i]`` is None
+    where the moments are whole, as for a 1-D parameter or once every row has
+    had a gradient. A MiniProc observation sets about 21 of 405 cells, so a
+    first layer's moments stay a fraction of the layer.
+    """
 
     params: list[Tensor]
     learning_rate: float = 5e-4
@@ -211,11 +220,25 @@ class Adam:
     step_count: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
+    rows: list[Optional[np.ndarray]] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.m:
-            self.m = [np.zeros_like(p.data) for p in self.params]
-            self.v = [np.zeros_like(p.data) for p in self.params]
+            self.rows = [np.arange(0) if p.data.ndim == 2 else None for p in self.params]
+            self.m = [np.zeros((0,) + p.data.shape[1:]) if r is not None else np.zeros_like(p.data)
+                      for p, r in zip(self.params, self.rows)]
+            self.v = [np.zeros_like(m) for m in self.m]
+
+    def __setstate__(self, state):
+        # an Adam pickled before the row index holds whole moments: keep the
+        # rows whose m or v is nonzero, as if it had kept an index all along
+        if "rows" not in state:
+            state["rows"] = [None] * len(state["m"])
+            for i, (m, v) in enumerate(zip(state["m"], state["v"])):
+                live = np.flatnonzero(m.any(axis=1) | v.any(axis=1)) if m.ndim == 2 else None
+                if live is not None and len(live) < len(m):
+                    state["rows"][i], state["m"][i], state["v"][i] = live, m[live], v[live]
+        vars(self).update(state)
 
     def step(self):
         """Step every parameter with a gradient; ``ppo._lanes`` steps the
@@ -223,6 +246,7 @@ class Adam:
         bc1, bc2 = self.bias_correction()
         for i, p in enumerate(self.params):
             if p.grad is not None:
+                self.grow(i)
                 self.update(i, bc1, bc2)
 
     def bias_correction(self) -> tuple[float, float]:
@@ -230,11 +254,35 @@ class Adam:
         self.step_count += 1
         return 1.0 - self.beta1**self.step_count, 1.0 - self.beta2**self.step_count
 
+    def grow(self, i: int):
+        """Add the rows where parameter i's gradient is nonzero to its index,
+        with zero moments; the index becomes None once it holds every row.
+        Each gradient is grown into before ``update`` steps it."""
+        rows, g = self.rows[i], self.params[i].grad
+        if rows is None:
+            return
+        live = (g != 0.0).any(axis=1)
+        live[rows] = True
+        merged = np.flatnonzero(live)
+        if len(merged) == len(rows):
+            return
+        at = np.searchsorted(merged, rows)
+        for moments in (self.m, self.v):
+            grown = np.zeros((len(merged),) + g.shape[1:])
+            grown[at] = moments[i]
+            moments[i] = grown
+        self.rows[i] = None if len(merged) == len(g) else merged
+
     def update(self, i: int, bc1: float, bc2: float):
-        """Step parameter i; parameters share no state, so any order or thread will do."""
-        p, g = self.params[i], self.params[i].grad
+        """Step parameter i, whose gradient ``grow`` has seen; parameters
+        share no state, so any order or thread will do. An indexed parameter
+        steps the rows of its index, gathered, and puts them back."""
+        p, g, rows = self.params[i], self.params[i].grad, self.rows[i]
         if g.shape != p.data.shape:
             raise DimensionError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
+        data = p.data
+        if rows is not None:
+            data, g = data[rows], g[rows]
         # in place, operation for operation the same arithmetic as
         # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
         # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
@@ -251,7 +299,9 @@ class Adam:
         np.sqrt(denom, out=denom)
         denom += self.epsilon
         step /= denom
-        np.subtract(p.data, step, out=p.data)   # the weights never move
+        np.subtract(data, step, out=data)   # the weights never move
+        if rows is not None:
+            p.data[rows] = data
 
 
 def clip_grad_norm(params: Sequence[Tensor], max_norm: float) -> float:

@@ -429,22 +429,26 @@ def _side_by_side(worker, main_call, worker_call):
 
 def _lanes(opts: Sequence[Adam]) -> tuple[list, list]:
     """Count a step of each of ``opts`` with a gradient (the others, such as a
-    snapshot with no routed term, keep their state); deal its parameters with
-    one, as (position, parameter, Adam update), into two lanes that the actor's
-    and the critic's start, each other largest first to the lane with fewer elements."""
-    lanes, rest, k = ([], []), [], 0
+    snapshot with no routed term, keep their state); grow its row indexes
+    (``Adam.grow``) and deal its parameters with one, as (position,
+    parameter, Adam update), into two lanes that the actor's and the
+    critic's start, each other largest first to the lane with fewer elements
+    to step: a parameter steps its moments' elements."""
+    lanes, rest, k, elements = ([], []), [], 0, {}
     for n, opt in enumerate(opts):
         if any(p.grad is not None for p in opt.params):
             bc = opt.bias_correction()
             for i, p in enumerate(opt.params):
                 if p.grad is not None:
+                    opt.grow(i)
+                    elements[k + i] = opt.m[i].size
                     (lanes[n] if n < 2 else rest).append((k + i, p, partial(opt.update, i, *bc)))
         k += len(opt.params)
-    sizes = [sum(e[1].data.size for e in lane) for lane in lanes]
-    for e in sorted(rest, key=lambda e: -e[1].data.size):   # stable: ties keep their order
+    sizes = [sum(elements[e[0]] for e in lane) for lane in lanes]
+    for e in sorted(rest, key=lambda e: -elements[e[0]]):   # stable: ties keep their order
         n = int(sizes[1] < sizes[0])
         lanes[n].append(e)
-        sizes[n] += e[1].data.size
+        sizes[n] += elements[e[0]]
     return lanes
 
 

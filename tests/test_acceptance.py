@@ -5,6 +5,7 @@ The directional experiments (criteria using the full three-phase protocol)
 run the real desk-scale configuration and take the bulk of the runtime; they
 are shared across tests through session-scoped fixtures.
 """
+import hashlib
 import json
 import multiprocessing
 import os
@@ -16,8 +17,9 @@ import pytest
 
 from orchestra import autodiff as ad
 from orchestra.envs import LevelSpec, N_ACTIONS, OBS_DIM, EnvInstance
-from orchestra.harness import (RunConfig, Trainer, config_from_flat_dict,
-                               final_rewards, run_three_phase, steps_to_return)
+from orchestra.harness import (RunConfig, Trainer, config_from_flat_dict, export_metrics,
+                               final_rewards, run_environment, run_three_phase,
+                               steps_to_return)
 from orchestra.hop import (CheckpointPolicy, HopConfig, JoinedSource,
                            Orchestra, TrustedStateSet, hierarchical_weights,
                            joined_logits, joined_records, masked_policy_update)
@@ -29,6 +31,7 @@ from orchestra.pnn import PnnStack
 SEEDS = (1, 2, 3, 4)
 DESK_WORKERS = 2
 DESK_PRESET = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "hop_desk.json"
+DESK_TABLE = Path(__file__).with_name("desk_outputs.json")
 
 
 def report(name: str, ok: bool, detail: str):
@@ -448,6 +451,32 @@ def test_directional_reproduction(directional_runs, pnn_run):
            f"(steps-to-return hop={s2r['hop']} ppo={s2r['ppo']}); "
            f"(b) final phase-3 mean hop={hop_final:.2f} >= ppo={ppo_final:.2f}: {b}; "
            f"(c) pnn phase-1 column bit-exact through phase 2: {c}")
+
+
+@pytest.mark.slow
+def test_desk_runs_write_the_recorded_metrics(desk_runs, tmp_path):
+    """Each desk run's metrics.csv has the SHA-256 recorded in DESK_TABLE.
+    The runs are the same bytes only under one numpy and BLAS build, so under
+    another the test skips. A change that alters them on purpose re-records
+    the table: the failure prints the one this build wrote."""
+    want = json.loads(DESK_TABLE.read_text())
+    env = run_environment()
+    build = {k: env[k] for k in ("numpy", "blas")}
+    recorded = {k: want[k] for k in ("numpy", "blas")}
+    if build != recorded:
+        pytest.skip(f"digests recorded under {recorded}, this build is {build}")
+    got = {}
+    for (algorithm, seed), run in desk_runs.items():
+        rep = run["report"] if algorithm == "pnn" else run[0]
+        csv_path = export_metrics(rep, tmp_path / f"{algorithm}-{seed}")[0]
+        got[f"{algorithm}-{seed}"] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    changed = sorted(k for k in got.keys() | want["metrics.csv"].keys()
+                     if got.get(k) != want["metrics.csv"].get(k))
+    table = {**build, "metrics.csv": dict(sorted(got.items()))}
+    report("desk outputs", not changed,
+           f"{len(got) - len(changed)} of {len(got)} metrics.csv match {DESK_TABLE.name}"
+           + (f"; these differ: {changed}; this build wrote\n{json.dumps(table, indent=1)}"
+              if changed else ""))
 
 
 # ---------------------------------------------------------------------------

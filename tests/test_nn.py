@@ -148,6 +148,146 @@ def test_adam_single_step_matches_formula(rng):
     assert np.abs(p.data - expected).max() < 1e-12
 
 
+# --- Adam's row index -------------------------------------------------------------
+
+_SHAPES = [(40, 30), (30,), (30, 4)]     # a first layer, its bias and a dense layer
+_LR, _B1, _B2, _EPS = 1e-3, 0.9, 0.999, 1e-8
+
+
+def _dense_adam_step(p, g, m, v, t):
+    """The 13 in-place ops of a dense Adam step at step count t, over every
+    element: the reference the row index must give bit for bit."""
+    bc1, bc2 = 1.0 - _B1**t, 1.0 - _B2**t
+    m *= _B1
+    m += (1.0 - _B1) * g
+    g2 = (1.0 - _B2) * g
+    g2 *= g
+    v *= _B2
+    v += g2
+    step = m / bc1
+    step *= _LR
+    denom = np.divide(v, bc2, out=g2)
+    np.sqrt(denom, out=denom)
+    denom += _EPS
+    step /= denom
+    np.subtract(p, step, out=p)
+
+
+def _live_rows(t: int) -> list[int]:
+    """Rows of the sparse weight with a gradient at step t: rows 0-1
+    always, row 7 only at step 3, rows 10-19 from step 6, row 30 from step 12."""
+    return [0, 1] + [7] * (t == 3) + list(range(10, 20)) * (t >= 6) + [30] * (t >= 12)
+
+
+def _gradients(t: int, rng) -> list[np.ndarray]:
+    """Step t's gradients: the sparse weight's live rows, -0.0 in its row 39,
+    and a dense bias and 2-D weight."""
+    sparse = np.zeros(_SHAPES[0])
+    sparse[_live_rows(t)] = rng.normal(size=(len(_live_rows(t)), _SHAPES[0][1]))
+    sparse[39] = -0.0
+    return [sparse] + [rng.normal(size=s) for s in _SHAPES[1:]]
+
+
+def _adam_case(rng):
+    """Parameters with -0.0 entries (in row 39, which never has a gradient,
+    and in row 7, which has one once), their Adam and a dense reference."""
+    data = [rng.normal(size=s) for s in _SHAPES]
+    data[0][39] = -0.0
+    data[0][7, :5] = -0.0
+    params = [Tensor(d) for d in data]
+    ref = [[p.data.copy() for p in params], [np.zeros(s) for s in _SHAPES],
+           [np.zeros(s) for s in _SHAPES]]
+    return params, Adam(params, _LR, _B1, _B2, _EPS), ref
+
+
+def _step_both(opt, params, ref, t, rng):
+    for p, (data, m, v), g in zip(params, zip(*ref), _gradients(t, rng)):
+        p.grad = g.copy()
+        _dense_adam_step(data, g, m, v, t)
+    opt.step()
+
+
+def _assert_matches_dense(opt, params, ref):
+    """Parameters bit-identical to the reference, and each index's moments
+    the reference's rows, every other row of whose is zero."""
+    for i, (p, (data, m, v)) in enumerate(zip(params, zip(*ref))):
+        assert p.data.tobytes() == data.tobytes()
+        rows = opt.rows[i]
+        if rows is None:
+            assert opt.m[i].tobytes() == m.tobytes() and opt.v[i].tobytes() == v.tobytes()
+            continue
+        assert list(rows) == sorted(rows) and opt.m[i].shape == (len(rows),) + m.shape[1:]
+        assert opt.m[i].tobytes() == m[rows].tobytes()
+        assert opt.v[i].tobytes() == v[rows].tobytes()
+        outside = np.setdiff1d(np.arange(len(m)), rows)
+        assert not m[outside].any() and not v[outside].any()
+
+
+def test_adam_row_index_matches_the_dense_step_bit_for_bit():
+    rng = np.random.default_rng(3)
+    params, opt, ref = _adam_case(rng)
+    assert [None if r is None else len(r) for r in opt.rows] == [0, None, 0]
+    seen = set()
+    for t in range(1, 21):
+        _step_both(opt, params, ref, t, rng)
+        seen.update(_live_rows(t))
+        _assert_matches_dense(opt, params, ref)
+        # rows join late and stay, a row with one gradient included
+        assert opt.rows[0].tolist() == sorted(seen)
+        # the dense 2-D weight holds every row after its first step
+        assert opt.rows[2] is None
+    assert 7 in opt.rows[0] and 39 not in opt.rows[0]
+    assert np.signbit(params[0].data[39]).all()        # -0.0 stays -0.0
+    assert params[0].data[7, :5].any()
+
+
+def test_adam_row_index_becomes_whole_once_every_row_had_a_gradient():
+    p = Tensor(np.ones((3, 2)))
+    opt = Adam([p], _LR)
+    for row, index in ((1, [1]), (1, [1]), (0, [0, 1]), (2, None)):
+        p.grad = np.zeros((3, 2))
+        p.grad[row] = 1.0
+        opt.step()
+        assert (opt.rows[0] if index is None else opt.rows[0].tolist()) == index
+    assert opt.m[0].shape == (3, 2) and opt.m[0].all()
+
+
+def test_adam_with_a_row_index_pickles_and_steps_on():
+    rng = np.random.default_rng(4)
+    params, opt, ref = _adam_case(rng)
+    for t in range(1, 8):
+        _step_both(opt, params, ref, t, rng)
+    copy = pickle.loads(pickle.dumps(opt))
+    assert [None if r is None else r.tolist() for r in copy.rows] == \
+           [None if r is None else r.tolist() for r in opt.rows]
+    for t in range(8, 16):
+        _step_both(copy, copy.params, ref, t, rng)
+        _assert_matches_dense(copy, copy.params, ref)
+
+
+def test_an_adam_pickled_with_whole_moments_compacts_on_load_and_steps_on():
+    # an Adam pickled before the row index: whole m and v, and no rows
+    rng = np.random.default_rng(5)
+    params, _, ref = _adam_case(rng)
+    for t in range(1, 8):
+        for p, (data, m, v), g in zip(params, zip(*ref), _gradients(t, rng)):
+            _dense_adam_step(data, g, m, v, t)
+    earlier = Adam.__new__(Adam)
+    vars(earlier).update(params=[Tensor(d) for d in ref[0]], learning_rate=_LR, beta1=_B1,
+                         beta2=_B2, epsilon=_EPS, step_count=7,
+                         m=[m.copy() for m in ref[1]], v=[v.copy() for v in ref[2]])
+    state = pickle.dumps(earlier)
+    assert b"rows" not in state
+    opt = pickle.loads(state)
+    assert opt.rows[0].tolist() == [0, 1, 7, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19]
+    assert opt.rows[1:] == [None, None]
+    _assert_matches_dense(opt, opt.params, ref)
+    for t in range(8, 16):
+        _step_both(opt, opt.params, ref, t, rng)
+        _assert_matches_dense(opt, opt.params, ref)
+    assert 30 in opt.rows[0]
+
+
 def test_parameter_blob_round_trip(tmp_path, rng):
     # the checkpoint bundle stores an actor as get_arrays() in an .npz
     net = Mlp([6, 5, 4], rng)
