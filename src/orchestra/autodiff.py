@@ -34,14 +34,20 @@ class Tensor:
     and the gradient that backward() accumulates into ``grad``. ``grad`` is
     None until the first accumulation after zero_grads(), and then an array
     that the parameter keeps from one minibatch and update to the next,
-    until release_grads()."""
+    until release_grads().
 
-    __slots__ = ("data", "grad", "_grad_array")
+    ``grad_rows``, where not None, is the sorted rows outside which the kept
+    array is zero: ``Mlp.hidden``'s first layer writes only the rows of the
+    input columns its batch sets, and records them there. Else any row of
+    it may hold anything."""
+
+    __slots__ = ("data", "grad", "_grad_array", "grad_rows")
 
     def __init__(self, data):
         self.data = aligned_copy(data)
         self.grad: Optional[np.ndarray] = None
         self._grad_array: Optional[np.ndarray] = None
+        self.grad_rows: Optional[np.ndarray] = None
 
     # pickled as (data, True), the payload of a leaf of the older general
     # graph, so that saved run state keeps its bytes and still loads
@@ -56,7 +62,24 @@ class Tensor:
         if self._grad_array is None:
             self._grad_array = np.empty_like(self.data)
         self.grad = self._grad_array
+        self.grad_rows = None
         return self.grad
+
+    def _zeroed_grad(self) -> np.ndarray:
+        """``_first_grad`` with every element zero: only ``grad_rows`` are
+        cleared where they are known."""
+        rows = self.grad_rows
+        g = self._first_grad()
+        if rows is None:
+            g.fill(0.0)
+        else:
+            g[rows] = 0.0
+        return g
+
+    def written_rows(self) -> Optional[np.ndarray]:
+        """The rows outside which ``grad`` is zero: ``grad_rows`` where
+        ``grad`` is the kept array, else None, for any row."""
+        return self.grad_rows if self.grad is self._grad_array else None
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
@@ -112,4 +135,4 @@ def zero_grads(params: Iterable[Tensor]):
 def release_grads(params: Iterable[Tensor]):
     """Let each parameter's kept gradient array go once its gradient does."""
     for p in params:
-        p._grad_array = None
+        p._grad_array = p.grad_rows = None

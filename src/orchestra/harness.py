@@ -382,7 +382,8 @@ class HopTrainer(Trainer):
 
 class PnnTrainer(Trainer):
     """Progressive networks: no learner, and one column per task, added on
-    entering the task's phase; each phase acts and trains its own column."""
+    entering the task's phase; each phase acts and trains its own column. A
+    column whose task no remaining phase trains retires as a phase starts."""
 
     def _networks(self, rng: np.random.Generator, lr: float):
         self.stack = PnnStack(OBS_DIM, N_ACTIONS, HIDDEN, lr, rng)
@@ -392,6 +393,9 @@ class PnnTrainer(Trainer):
         task_id = self.plan.phases[idx].task_id()
         if task_id not in self.stack.task_index:
             self.stack.add_column(task_id)
+        remaining = {phase.task_id() for phase in self.plan.phases[idx:]}
+        for task in self.stack.task_index.keys() - remaining:
+            self.stack.retire(task)
 
     def _source(self, phase_idx: int):
         return ColumnSource(self.stack, self.plan.phases[phase_idx].task_id())

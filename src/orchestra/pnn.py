@@ -1,17 +1,19 @@
 """Progressive-network baseline: per-task actor/critic columns plus
 trainable adapters that inject earlier columns' hidden features into the
 active column. Task labels are supplied by the caller; inactive columns are
-never touched by an update.
+never touched by an update, and a retired column (``PnnStack.retire``) can
+no longer be trained.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .nn import Adam, Mlp
 from .ppo import (GaeOutput, LearnerSource, PpoConfig, RolloutBuffer,
                   UpdateStats, ppo_update)
@@ -36,11 +38,13 @@ class AdapterParams:
 
 @dataclass
 class Column:
+    """A task's actor and critic, and their optimizers, None once it retires."""
+
     task_id: str
     actor: Mlp
     critic: Mlp
-    actor_opt: Adam
-    critic_opt: Adam
+    actor_opt: Optional[Adam]
+    critic_opt: Optional[Adam]
 
 
 class PnnStack:
@@ -78,6 +82,15 @@ class PnnStack:
         if new_params:
             self.adapter_opts[dst] = Adam(new_params, self.learning_rate)
         return dst
+
+    def retire(self, task_id: str):
+        """Drop the optimizers of the task's column and of the adapters into
+        it, for a column that nothing will train again. Its weights and those
+        adapters stay, so it acts and feeds later columns as before."""
+        col_idx = self._column(task_id)
+        col = self.columns[col_idx]
+        col.actor_opt = col.critic_opt = None
+        self.adapter_opts.pop(col_idx, None)
 
     def _column(self, task_id: str) -> int:
         if task_id not in self.task_index:
@@ -144,9 +157,12 @@ class ColumnSource(LearnerSource):
 def pnn_update(stack: PnnStack, task_id: str, buffer: RolloutBuffer,
                gae: GaeOutput, cfg: PpoConfig,
                rng: np.random.Generator) -> UpdateStats:
-    """PPO update of the task's column and the adapters into it."""
+    """PPO update of the task's column and the adapters into it; a retired
+    column raises ContractError."""
     col_idx = stack._column(task_id)
     col = stack.columns[col_idx]
+    if col.actor_opt is None:
+        raise ContractError(f"column {task_id!r} is retired and cannot be trained")
     extra_opts = [stack.adapter_opts[col_idx]] if col_idx in stack.adapter_opts else []
     for other in stack.columns:
         if other is not col:        # no longer trained: its update buffers go

@@ -21,6 +21,7 @@ from orchestra.harness import (HopTrainer, MetricsReport, MetricsRow, PnnTrainer
                                final_rewards, load_trainer, resume,
                                run_three_phase, steps_to_return, summarize)
 from orchestra.hop import HopConfig, save_checkpoint
+from orchestra.pnn import PnnStack
 from orchestra.ppo import PpoConfig
 
 from conftest import assert_parameters_stay_aligned
@@ -345,6 +346,67 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, algorithm):
     for name in ("updates.jsonl", "metrics.csv", "summary.json"):
         assert (part_dir / name).read_bytes() == \
                (tmp_path / "full" / name).read_bytes(), name
+
+
+def _opt_state(opt):
+    return (opt.step_count, [None if r is None else r.tobytes() for r in opt.rows],
+            [m.tobytes() for m in opt.m], [v.tobytes() for v in opt.v])
+
+
+def test_a_pnn_column_retires_once_no_remaining_phase_trains_it(monkeypatch):
+    trainer = Trainer(tiny_run_config("pnn"))
+    trainer.run(max_iterations=4)       # through phase 2: nothing retired yet
+    a, b = trainer.stack.columns
+    assert b.actor_opt is not None and set(trainer.stack.adapter_opts) == {1}
+    trainer.run(max_iterations=1)       # phase 3 starts: column B retires
+    assert b.actor_opt is None and b.critic_opt is None and trainer.stack.adapter_opts == {}
+    trainer.run()
+
+    # a run whose columns never retire trains the same bits: column A's
+    # optimizers go on as they would, and column B and its adapters stay
+    monkeypatch.setattr(PnnStack, "retire", lambda self, task_id: None)
+    kept = Trainer(tiny_run_config("pnn"))
+    report = kept.run()
+    assert kept.stack.columns[1].actor_opt is not None
+    assert report.rows == trainer.report().rows
+    for ours, theirs in zip(trainer.stack.columns, kept.stack.columns):
+        for net in ("actor", "critic"):
+            for x, y in zip(getattr(ours, net).get_arrays(), getattr(theirs, net).get_arrays()):
+                assert x.tobytes() == y.tobytes()
+    for key, adp in trainer.stack.adapters.items():
+        for x, y in zip(adp.parameters, kept.stack.adapters[key].parameters):
+            assert x.data.tobytes() == y.data.tobytes()
+    a_kept = kept.stack.columns[0]
+    assert _opt_state(a.actor_opt) == _opt_state(a_kept.actor_opt)
+    assert _opt_state(a.critic_opt) == _opt_state(a_kept.critic_opt)
+
+
+def test_a_pnn_run_of_one_task_retires_nothing():
+    trainer = Trainer(tiny_run_config("pnn", experiment="runner-runner-runner"))
+    trainer.run()
+    (column,) = trainer.stack.columns
+    assert column.actor_opt.step_count == column.critic_opt.step_count > 0
+    assert trainer.stack.adapter_opts == {}
+
+
+@pytest.mark.parametrize("stop,retired", [(3, True), (4, True), (5, True), (5, False)],
+                         ids=["3", "4", "5", "5-unretired"])
+def test_a_pnn_run_resumes_through_the_retirement(tmp_path, monkeypatch, stop, retired):
+    run_three_phase(tiny_run_config("pnn", seed=2), tmp_path / "full")
+    with monkeypatch.context() as patch:
+        if not retired:     # as a state.pkl written inside phase 3 before columns retired
+            patch.setattr(PnnStack, "retire", lambda self, task_id: None)
+        Trainer(tiny_run_config("pnn", seed=2), tmp_path / "part").run(max_iterations=stop)
+    resume(tmp_path / "part")
+    for name in ("updates.jsonl", "metrics.csv", "summary.json"):
+        assert (tmp_path / "part" / name).read_bytes() == \
+               (tmp_path / "full" / name).read_bytes(), name
+    with open(tmp_path / "part" / "state.pkl", "rb") as f:
+        stack = pickle.load(f)["stack"]
+    # retiring happens as a phase starts, so a state.pkl that entered phase 3
+    # with column B's optimizers keeps them
+    assert (stack.columns[1].actor_opt is None) == (stack.columns[1].critic_opt is None) \
+        == (stack.adapter_opts == {}) == retired
 
 
 def test_a_pnn_trainer_has_no_learner(tmp_path):

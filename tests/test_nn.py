@@ -393,6 +393,39 @@ def test_a_network_reuses_its_buffers_and_gradients(rng):
     assert not any(np.shares_memory(a, b) for a in first for b in fresh)
 
 
+def test_the_first_layer_records_the_rows_it_writes(rng):
+    net = Mlp([60, 16, 16, 5], rng)
+    w0 = net.weights[0]
+    opt, had = Adam(net.parameters, 1e-3), np.zeros(60, dtype=bool)
+    for x in (_binary_batch(rng, 32), _binary_batch(rng, 32, density=0.02),
+              np.zeros((4, 60)), _binary_batch(rng, 64, density=0.3)):
+        _trained_arrays(net, x)
+        cols = np.flatnonzero(x.any(axis=0))
+        assert w0.grad_rows.tolist() == cols.tolist()
+        # the rows of the last batch were cleared; every other row is zero
+        outside = np.setdiff1d(np.arange(60), cols)
+        assert not w0.grad[outside].any()
+        assert w0.written_rows() is w0.grad_rows
+        # the row index grows by the rows a whole-array scan finds
+        had |= (w0.grad != 0.0).any(axis=1)
+        opt.step()
+        got = opt.rows[0]
+        assert (None if got is None else got.tolist()) == \
+               (None if had.all() else np.flatnonzero(had).tolist())
+    assert opt.rows[0] is None      # the last batch sets every input
+    # a second backward in one minibatch records no rows: the next zeroes all
+    ad.backward(net.forward(_binary_batch(rng, 8)), np.ones((8, 5)))
+    assert w0.grad_rows is None
+    _trained_arrays(net, x := _binary_batch(rng, 8))
+    assert w0.grad_rows.tolist() == np.flatnonzero(x.any(axis=0)).tolist()
+    assert np.array_equal(w0.grad, _reference_gradients(net, x, np.ones((8, 5)))[0])
+    # a gradient set from outside may hold any row, as may one after release_grads
+    w0.grad = np.zeros((60, 16))
+    assert w0.written_rows() is None
+    net.free_buffers()
+    assert w0.grad_rows is None
+
+
 # --- the stack node -----------------------------------------------------------------
 
 

@@ -183,3 +183,28 @@ def test_a_non_finite_column_output_raises(task, net):
     getattr(stack.columns[stack._column(task)], net).biases[-1].data[0] = np.inf
     with pytest.raises(ContractError, match="non-finite"):
         stack.net(task, net).forward_np(np.zeros((2, OBS_DIM)))
+
+
+def test_a_retired_column_keeps_no_optimizer_and_refuses_an_update():
+    cfg = tiny_cfg()
+    stack = make_stack()
+    stack.add_column("a")
+    stack.add_column("b")
+    x = np.random.default_rng(9).random((3, OBS_DIM))
+    before = stack.forward_with_adapters("b", x)
+    stack.retire("b")
+    b = stack.columns[1]
+    assert b.actor_opt is None and b.critic_opt is None and 1 not in stack.adapter_opts
+    assert len(stack.adapters) == 2      # its adapters stay, and so does its output
+    for got, want in zip(stack.forward_with_adapters("b", x), before):
+        assert np.array_equal(got, want)
+    buffer = _rollout_for(stack, "b", cfg)
+    gae = compute_gae(buffer, cfg.gamma, cfg.gae_lambda, norm_adv=True)
+    with pytest.raises(ContractError, match="retired"):
+        pnn_update(stack, "b", buffer, gae, cfg, np.random.default_rng(5))
+    stack.retire("b")           # a second retire changes nothing
+    assert b.actor_opt is None and 1 not in stack.adapter_opts
+    buffer = _rollout_for(stack, "a", cfg)
+    pnn_update(stack, "a", buffer, compute_gae(buffer, cfg.gamma, cfg.gae_lambda),
+               cfg, np.random.default_rng(3))
+    assert stack.columns[0].actor_opt.step_count > 0
