@@ -383,7 +383,7 @@ class HopTrainer(Trainer):
 class PnnTrainer(Trainer):
     """Progressive networks: no learner, and one column per task, added on
     entering the task's phase; each phase acts and trains its own column. A
-    column whose task no remaining phase trains retires as a phase starts."""
+    column whose task no remaining phase trains retires at the next update."""
 
     def _networks(self, rng: np.random.Generator, lr: float):
         self.stack = PnnStack(OBS_DIM, N_ACTIONS, HIDDEN, lr, rng)
@@ -393,9 +393,6 @@ class PnnTrainer(Trainer):
         task_id = self.plan.phases[idx].task_id()
         if task_id not in self.stack.task_index:
             self.stack.add_column(task_id)
-        remaining = {phase.task_id() for phase in self.plan.phases[idx:]}
-        for task in self.stack.task_index.keys() - remaining:
-            self.stack.retire(task)
 
     def _source(self, phase_idx: int):
         return ColumnSource(self.stack, self.plan.phases[phase_idx].task_id())
@@ -404,6 +401,9 @@ class PnnTrainer(Trainer):
         return self.stack.net(self.plan.phases[self.current_phase].task_id(), "critic")
 
     def _update(self, buffer, gae):
+        remaining = {phase.task_id() for phase in self.plan.phases[self.current_phase:]}
+        for task in self.stack.task_index.keys() - remaining:
+            self.stack.retire(task)
         return pnn_update(self.stack, self.plan.phases[self.current_phase].task_id(),
                           buffer, gae, self.config.ppo, self.train_rng)
 

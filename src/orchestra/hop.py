@@ -148,15 +148,12 @@ class Orchestra:
         return {**self.__dict__, "_index": None}
 
     def joined_index(self, omega: float) -> "JoinedIndex":
-        """The joined index of the checkpoints as they are now. Checkpoints
-        appended since the last call are added to it; any other change to
-        the list, or another omega, rebuilds it."""
+        """The joined index of the checkpoints as they are now, rebuilt
+        whenever the list, one of its checkpoints or omega has changed."""
         index = self._index
-        if (index is None or index.omega != omega or len(index) > len(self)
+        if (index is None or index.omega != omega or len(index) != len(self)
                 or any(map(operator.is_not, index.checkpoints, self.checkpoints))):
-            index = self._index = JoinedIndex([], omega)
-        if len(index) < len(self.checkpoints):
-            index.extend(self.checkpoints)
+            index = self._index = JoinedIndex(self.checkpoints, omega)
         return index
 
 
@@ -217,20 +214,26 @@ class JoinedIndex:
     expansion of the checkpoints before it, as entries
     ``table_ptr[g]:table_ptr[g+1]`` whose ``row`` is g. Nothing there depends
     on actor weights, and nothing about checkpoint m on checkpoints after it,
-    so appending checkpoints extends the index. ``logit_table`` folds the
-    tables over the actors' outputs at their current weights.
+    so each checkpoint's tables are built from those of the ones before it.
+    ``logit_table`` folds the tables over the actors' outputs at their
+    current weights.
 
     ``recall`` remembers, per observation (its dtype and bytes), its best
-    match and activation over every indexed checkpoint, until ``extend``
-    appends one, and its ``contribution``, until the logit table is rebuilt.
+    match and activation over every indexed checkpoint, and its
+    ``contribution``, until the logit table is rebuilt.
     """
 
     def __init__(self, checkpoints: Sequence[CheckpointPolicy], omega: float):
+        if any(not c.trusted.raw for c in checkpoints):
+            raise ContractError("joined expansion over an empty trusted set")
         self.omega = omega
-        self.checkpoints: list[CheckpointPolicy] = []
-        self.offsets = np.zeros(1, dtype=np.int64)
-        self.units_t: Optional[np.ndarray] = None
-        self.slots = np.zeros((0, 0), dtype=np.int64)
+        self.checkpoints = list(checkpoints)
+        self.offsets = np.cumsum([0] + [len(c.trusted) for c in self.checkpoints])
+        units = [c.trusted.matrix for c in self.checkpoints]
+        self.units_t = np.ascontiguousarray(np.concatenate(units).T) if units else None
+        sizes = np.diff(self.offsets)
+        self.slots = self.offsets[:-1, None] + np.minimum(np.arange(sizes.max(initial=0)),
+                                                          sizes[:, None] - 1)
         self.tables = Terms(*(np.zeros(0, dtype=t)
                               for t in (np.int64, np.int64, np.float64, np.int64)))
         self.table_ptr = np.zeros(1, dtype=np.int64)
@@ -239,29 +242,7 @@ class JoinedIndex:
         self._table: Optional[np.ndarray] = None
         self._scanned: dict[tuple[str, bytes], tuple[np.ndarray, np.ndarray]] = {}
         self._folded: dict[tuple[str, bytes], np.ndarray] = {}
-        self.extend(checkpoints)
-
-    def __len__(self) -> int:
-        return len(self.checkpoints)
-
-    def extend(self, checkpoints: Sequence[CheckpointPolicy]):
-        """Index the checkpoints after the ones indexed so far."""
-        new = checkpoints[len(self):]
-        if any(not c.trusted.raw for c in new):
-            raise ContractError("joined expansion over an empty trusted set")
-        if not new:
-            return
-        start = len(self)
-        self.checkpoints += new
-        self._scanned.clear()    # the step list grows too, so every fold goes as well
-        self.offsets = np.cumsum([0] + [len(c.trusted) for c in self.checkpoints])
-        units = np.ascontiguousarray(np.concatenate([c.trusted.matrix for c in new]).T)
-        self.units_t = units if self.units_t is None else \
-            np.concatenate([self.units_t, units], axis=1)
-        sizes = np.diff(self.offsets)
-        self.slots = self.offsets[:-1, None] + np.minimum(np.arange(sizes.max()),
-                                                          sizes[:, None] - 1)
-        for m in range(start, len(self)):
+        for m in range(len(self)):
             lo, hi = int(self.offsets[m]), int(self.offsets[m + 1])
             own = np.arange(lo, hi)
             parts = [Terms(own, np.full(hi - lo, m + 1), np.ones(hi - lo), own)]
@@ -276,6 +257,9 @@ class JoinedIndex:
                                   for a, b in zip(self.tables, new_terms)))
             self.table_ptr = np.concatenate(
                 [[0], np.cumsum(np.bincount(self.tables.row, minlength=hi))])
+
+    def __len__(self) -> int:
+        return len(self.checkpoints)
 
     def scan(self, queries: Sequence[np.ndarray], count: int):
         """Index of the best match in each of the first ``count`` trusted sets
@@ -343,9 +327,9 @@ class JoinedIndex:
     def recall(self, queries: np.ndarray):
         """``scan`` over every indexed checkpoint and ``contribution`` of each
         row of a 2-D batch, as remembered for its observation: the distinct
-        rows not scanned since the last ``extend`` go to one ``scan``, and
-        those not folded since the logit table last changed to one
-        ``contribution``. Returns best matches, bitmask and contributions."""
+        rows not scanned before go to one ``scan``, and those not folded
+        since the logit table last changed to one ``contribution``. Returns
+        best matches, bitmask and contributions."""
         self.logit_table()                      # a rebuild forgets every fold
         dtype = queries.dtype.str
         keys = [(dtype, q.tobytes()) for q in queries]

@@ -126,17 +126,14 @@ class Mlp:
                 b._accumulate(g.sum(axis=0))
                 if i == 0:
                     # w.grad[cols] += acts[0].T @ g, in the buffers of W0[cols]
-                    # and of g, which hold nothing this back still reads; a
-                    # first write records its rows in w.grad_rows
-                    first = w.grad is None
-                    if first:
-                        w._zeroed_grad()
+                    # and of g, which hold nothing this back still reads
+                    if w.grad is None:
+                        w._first_grad().fill(0.0)
                     shape, capacity = (len(cols), g.shape[1]), w.data.size
                     rows = np.take(w.grad, cols, axis=0, mode="clip",
                                    out=self._buffer("w0", shape, capacity))
                     rows += np.matmul(acts[0].T, g, out=self._buffer("g", shape, capacity))
                     w.grad[cols] = rows
-                    w.grad_rows = cols if first else None
                 else:
                     w._accumulate_matmul(acts[i].T, g)
                     g = np.matmul(g, w.data.T, out=self._g_buffer(len(g), len(w.data)))
@@ -265,17 +262,12 @@ class Adam:
     def grow(self, i: int):
         """Add the rows where parameter i's gradient is nonzero to its index,
         with zero moments; the index becomes None once it holds every row.
-        Each gradient is grown into before ``update`` steps it. Only the rows
-        that the gradient may hold (``Tensor.written_rows``) and the index
-        lacks are read."""
-        rows, p = self.rows[i], self.params[i]
+        Each gradient is grown into before ``update`` steps it."""
+        rows, g = self.rows[i], self.params[i].grad
         if rows is None:
             return
-        g, written = p.grad, p.written_rows()
-        live = np.zeros(len(g), dtype=bool)
+        live = (g != 0.0).any(axis=1)
         live[rows] = True
-        fresh = np.flatnonzero(~live) if written is None else written[~live[written]]
-        live[fresh[(g[fresh] != 0.0).any(axis=1)]] = True
         merged = np.flatnonzero(live)
         if len(merged) == len(rows):
             return

@@ -358,7 +358,7 @@ def test_a_pnn_column_retires_once_no_remaining_phase_trains_it(monkeypatch):
     trainer.run(max_iterations=4)       # through phase 2: nothing retired yet
     a, b = trainer.stack.columns
     assert b.actor_opt is not None and set(trainer.stack.adapter_opts) == {1}
-    trainer.run(max_iterations=1)       # phase 3 starts: column B retires
+    trainer.run(max_iterations=1)       # phase 3's first update: column B retires
     assert b.actor_opt is None and b.critic_opt is None and trainer.stack.adapter_opts == {}
     trainer.run()
 
@@ -397,16 +397,19 @@ def test_a_pnn_run_resumes_through_the_retirement(tmp_path, monkeypatch, stop, r
         if not retired:     # as a state.pkl written inside phase 3 before columns retired
             patch.setattr(PnnStack, "retire", lambda self, task_id: None)
         Trainer(tiny_run_config("pnn", seed=2), tmp_path / "part").run(max_iterations=stop)
+    if not retired:
+        with open(tmp_path / "part" / "state.pkl", "rb") as f:
+            assert pickle.load(f)["stack"].columns[1].actor_opt is not None
     resume(tmp_path / "part")
     for name in ("updates.jsonl", "metrics.csv", "summary.json"):
         assert (tmp_path / "part" / name).read_bytes() == \
                (tmp_path / "full" / name).read_bytes(), name
+    # a column retires at every update, so a state.pkl that entered phase 3
+    # with column B's optimizers sheds them at the first update after the resume
     with open(tmp_path / "part" / "state.pkl", "rb") as f:
         stack = pickle.load(f)["stack"]
-    # retiring happens as a phase starts, so a state.pkl that entered phase 3
-    # with column B's optimizers keeps them
-    assert (stack.columns[1].actor_opt is None) == (stack.columns[1].critic_opt is None) \
-        == (stack.adapter_opts == {}) == retired
+    assert stack.columns[1].actor_opt is None and stack.columns[1].critic_opt is None
+    assert stack.adapter_opts == {}
 
 
 def test_a_pnn_trainer_has_no_learner(tmp_path):

@@ -321,22 +321,25 @@ def _same_index(a, b):
     assert len(a) == len(b) and a.omega == b.omega
     assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.units_t, b.units_t)
+    assert np.array_equal(a.slots, b.slots)
     assert np.array_equal(a.table_ptr, b.table_ptr)
     assert all(np.array_equal(x, y) for x, y in zip(a.tables, b.tables))
     assert all(x is y for x, y in zip(a.checkpoints, b.checkpoints))
 
 
-def test_orchestra_extends_its_index_as_checkpoints_are_appended():
+def test_orchestra_rebuilds_its_index_as_checkpoints_are_appended():
     _, _, full, hop_cfg, _ = _hop_setup(4)
     omega = hop_cfg.min_similarity_score
     orch = Orchestra([])
     index = orch.joined_index(omega)
+    assert orch.joined_index(omega) is index        # nothing changed: kept
     for count in range(1, 5):
         orch.checkpoints.append(full.checkpoints[count - 1])
-        assert orch.joined_index(omega) is index       # extended, not rebuilt
-        _same_index(index, JoinedIndex(orch.checkpoints, omega))
-    # anything but an append rebuilds: a replaced or dropped checkpoint,
-    # another omega
+        appended = orch.joined_index(omega)
+        assert appended is not index
+        _same_index(appended, JoinedIndex(orch.checkpoints, omega))
+        index = appended
+    # so does a replaced or dropped checkpoint, or another omega
     ckpt = orch.checkpoints[1]
     orch.checkpoints[1] = CheckpointPolicy(ckpt.index, ckpt.actor,
                                            orch.checkpoints[0].trusted, 0)
@@ -500,20 +503,37 @@ def test_recall_of_cached_new_and_repeated_rows_matches_a_fresh_scan():
     assert len(scanned) == 1
 
 
-def test_extend_forgets_the_remembered_activations():
+def test_a_rebuilt_index_scans_every_row_again():
     _, _, full, hop_cfg, _ = _hop_setup(3, omega=0.98)
     omega = hop_cfg.min_similarity_score
     states = _level_states(np.random.default_rng(2))
     orch = Orchestra(full.checkpoints[:2])
-    index = orch.joined_index(omega)
-    index.recall(states)
+    orch.joined_index(omega).recall(states)
     orch.checkpoints.append(full.checkpoints[2])
-    assert orch.joined_index(omega) is index
+    index = orch.joined_index(omega)
+    assert not index._scanned and not index._folded
     scanned = _count_scanned_rows(index)
     got = index.recall(states)
     assert scanned == [_distinct(states)] and got[1].shape == (len(states), 3)
     for a, b in zip(got, _fresh_recall(orch, omega, states)):
         assert np.array_equal(a, b)
+
+
+def test_an_empty_orchestra_indexes_and_acts_as_the_learner():
+    _, _, full, hop_cfg, _ = _hop_setup(1)
+    omega = hop_cfg.min_similarity_score
+    orch = Orchestra([])
+    for checkpoints in ([], full.checkpoints[:1], []):
+        orch.checkpoints[:] = checkpoints
+        _same_index(orch.joined_index(omega), JoinedIndex(checkpoints, omega))
+    assert len(orch.joined_index(omega)) == 0
+    states = _level_states(np.random.default_rng(2))
+    learner = _tiny_actor(np.random.default_rng(3), OBS_DIM, N_ACTIONS)
+    logits, aux = JoinedSource(learner, orch, hop_cfg).logits_and_aux(states)
+    assert np.array_equal(logits, learner.forward_np(states))
+    assert aux["bitmask"].shape == aux["best"].shape == (len(states), 0)
+    assert not aux["orchestra"].any()
+    assert np.array_equal(aux["learner_logits"], logits)
 
 
 def test_a_stepped_snapshot_refolds_contributions_without_a_new_scan():
